@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--prices",
         required=True,
         nargs="+",
-        type=Rational,
+        type=_price,
         metavar="P",
         help="one exact per-unit price per dimension (e.g. 1 100 40 or 1/2)",
     )
@@ -101,8 +101,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _price(text: str) -> Rational:
+    # Rational("1/0") raises ZeroDivisionError, which argparse would not catch.
+    try:
+        return Rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid price {text!r}") from None
+
+
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        raise ParseError(message) from None
 
 
 def _cmd_validate(args) -> int:
@@ -126,8 +138,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_post(args) -> int:
     ledger = parse_ledger(_read(args.ledger))
-    journal = parse_journal(_read(args.journal))
-    text = render_ledger(reduce_ledger(post(ledger, journal)))
+    # The journal is left unnamed so that it is freed once posted, before
+    # reduce and render build their copies of the ledger.
+    ended = post(ledger, parse_journal(_read(args.journal)))
+    text = render_ledger(reduce_ledger(ended))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -215,3 +229,7 @@ def run_command(argv: Sequence[str]) -> int:
 
 def main(argv: Sequence[str] | None = None) -> None:
     sys.exit(run_command(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -52,7 +52,7 @@ __all__ = [
 LEDGER_MAGIC = "pacioli-ledger v1"
 JOURNAL_MAGIC = "pacioli-journal v1"
 
-_AMOUNT_RE = re.compile(r"^[0-9]+$")
+_SIDES = {side.value: side for side in Side}
 _ENTRY_RE = re.compile(r'^entry\s+"([^"]*)"$')
 
 
@@ -73,15 +73,19 @@ def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
             yield i, line
 
 
+def _is_amount(token: str) -> bool:
+    """An unsigned base-10 literal: ASCII digits only (``isdigit`` alone
+    also accepts other scripts' digits and superscripts)."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_amounts(tokens: list[str], n: int, line_no: int) -> NatVec:
     if len(tokens) != n:
         raise ParseError(f"expected {n} amount component(s), got {len(tokens)}", line_no)
-    components = []
-    for token in tokens:
-        if not _AMOUNT_RE.match(token):
-            raise ParseError(f"bad amount {token!r} (unsigned integer expected)", line_no)
-        components.append(int(token))
-    return NatVec(tuple(components))
+    if not _is_amount("".join(tokens)):  # tokens are never empty
+        token = next(t for t in tokens if not _is_amount(t))
+        raise ParseError(f"bad amount {token!r} (unsigned integer expected)", line_no)
+    return NatVec(tuple(map(int, tokens)))
 
 
 def _parse_header(lines: Iterator[tuple[int, str]], magic: str) -> int:
@@ -97,7 +101,7 @@ def _parse_header(lines: Iterator[tuple[int, str]], magic: str) -> int:
     except StopIteration:
         raise ParseError("missing 'dimension <n>' line") from None
     tokens = line.split()
-    if tokens[0] != "dimension" or len(tokens) != 2 or not _AMOUNT_RE.match(tokens[1]):
+    if tokens[0] != "dimension" or len(tokens) != 2 or not _is_amount(tokens[1]):
         raise ParseError("expected 'dimension <n>'", line_no)
     dimension = int(tokens[1])
     if dimension < 1:
@@ -116,6 +120,7 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
 
     unit_names: tuple[str, ...] | None = None
     accounts: list[Account] = []
+    seen: set[str] = set()
     for line_no, line in lines:
         tokens = line.split()
         if tokens[0] == "units":
@@ -137,11 +142,12 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
             if len(rest) < 2:
                 raise ParseError("expected 'account <Name> <dr|cr> ...'", line_no)
             name = rest[0]
-            if any(acc.name == name for acc in accounts):
+            if name in seen:
                 raise ParseError(f"duplicate account {name!r}", line_no)
-            if rest[1] not in (Side.DR.value, Side.CR.value):
+            seen.add(name)
+            role = _SIDES.get(rest[1])
+            if role is None:
                 raise ParseError(f"bad side {rest[1]!r}; expected 'dr' or 'cr'", line_no)
-            role = Side(rest[1])
             rest = rest[2:]
             nominal = False
             if rest and rest[0] == "nominal":
@@ -181,7 +187,15 @@ def parse_journal(text: str) -> list[JournalEntry]:
     for line_no, line in lines:
         last_line_no = line_no
         tokens = line.split()
-        if tokens[0] == "entry":
+        side = _SIDES.get(tokens[0])  # posting lines first: they are the bulk
+        if side is not None:
+            if description is None:
+                raise ParseError(f"{tokens[0]!r} line outside an entry", line_no)
+            if len(tokens) < 2:
+                raise ParseError(f"expected '{tokens[0]} <Account> <amounts>'", line_no)
+            amount = _parse_amounts(tokens[2:], dimension, line_no)
+            postings.append(Posting(tokens[1], side, amount))
+        elif tokens[0] == "entry":
             if description is not None:
                 raise ParseError("'entry' before previous entry's 'end'", line_no)
             match = _ENTRY_RE.match(line)
@@ -189,13 +203,6 @@ def parse_journal(text: str) -> list[JournalEntry]:
                 raise ParseError("expected 'entry \"<description>\"'", line_no)
             description = match.group(1)
             postings = []
-        elif tokens[0] in (Side.DR.value, Side.CR.value):
-            if description is None:
-                raise ParseError(f"{tokens[0]!r} line outside an entry", line_no)
-            if len(tokens) < 2:
-                raise ParseError(f"expected '{tokens[0]} <Account> <amounts>'", line_no)
-            amount = _parse_amounts(tokens[2:], dimension, line_no)
-            postings.append(Posting(tokens[1], Side(tokens[0]), amount))
         elif tokens[0] == "end":
             if description is None:
                 raise ParseError("'end' outside an entry", line_no)

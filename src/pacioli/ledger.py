@@ -11,6 +11,7 @@ Ledgers are immutable: `post` and friends return new values.
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import DimensionMismatch, IntVec, NatVec, TTerm
@@ -113,17 +114,24 @@ class Ledger:
                     f"{acc.balance.dimension}, ledger has {self.dimension}"
                 )
 
+    @cached_property
+    def _by_name(self) -> dict[str, Account]:
+        """Account name -> account, built on the first lookup only, so the
+        ledger copies that `post`, `reduce_ledger` and friends make do not
+        each pay for a map."""
+        return {acc.name: acc for acc in self.accounts}
+
     def names(self) -> tuple[str, ...]:
         return tuple(acc.name for acc in self.accounts)
 
     def has_account(self, name: str) -> bool:
-        return any(acc.name == name for acc in self.accounts)
+        return name in self._by_name
 
     def account(self, name: str) -> Account:
-        for acc in self.accounts:
-            if acc.name == name:
-                return acc
-        raise LedgerError(f"unknown account {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise LedgerError(f"unknown account {name!r}") from None
 
     def total(self) -> TTerm:
         result = TTerm.zero(self.dimension)
@@ -292,28 +300,40 @@ def encode_equation(
 
 def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
     """Check an entry: known accounts, matching dimensions, zero-term sum."""
+    dim = ledger.dimension
+    known = ledger._by_name
     unknown = []
     mismatched = []
-    residual = TTerm.zero(ledger.dimension)
+    debit = [0] * dim
+    credit = [0] * dim
+    dr_accounts = set()
+    cr_accounts = set()
     for i, posting in enumerate(entry.postings):
-        if not ledger.has_account(posting.account) and posting.account not in unknown:
-            unknown.append(posting.account)
-        if posting.amount.dimension != ledger.dimension:
-            mismatched.append(i)
+        name = posting.account
+        if name not in known and name not in unknown:
+            unknown.append(name)
+        if posting.side is Side.DR:
+            side = debit
+            dr_accounts.add(name)
         else:
-            residual = residual + posting.term()
-    warnings = []
-    dr_accounts = {p.account for p in entry.postings if p.side is Side.DR}
-    cr_accounts = {p.account for p in entry.postings if p.side is Side.CR}
-    for name in sorted(dr_accounts & cr_accounts):
-        warnings.append(f"account {name!r} is both debited and credited")
-    ok = not unknown and not mismatched and residual.is_zero()
+            side = credit
+            cr_accounts.add(name)
+        amount = posting.amount.components
+        if len(amount) != dim:
+            mismatched.append(i)
+            continue
+        for j, c in enumerate(amount):
+            side[j] += c
+    warnings = tuple(
+        f"account {name!r} is both debited and credited"
+        for name in sorted(dr_accounts & cr_accounts)
+    )
     return EntryValidation(
-        ok=ok,
+        ok=not unknown and not mismatched and debit == credit,
         unknown_accounts=tuple(unknown),
         dimension_mismatches=tuple(mismatched),
-        residual=residual,
-        warnings=tuple(warnings),
+        residual=TTerm(NatVec(tuple(debit)), NatVec(tuple(credit))),
+        warnings=warnings,
     )
 
 
@@ -323,17 +343,49 @@ def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
     All-or-nothing: the first entry that fails validation raises
     :class:`PostingError` and nothing is applied.  Balances accumulate raw
     debits and credits; reduction is a separate, explicit step.
+
+    One pass on plain ints: each touched account's debit and credit sides
+    accumulate in one int list, each entry's signed residual in another,
+    and each touched balance is built once at the end.  `validate_entry`
+    runs only to report a failure.
     """
-    entries = list(journal)
-    for i, entry in enumerate(entries):
-        report = validate_entry(entry, ledger)
-        if not report.ok:
-            raise PostingError(i, entry, report)
-    balances = {acc.name: acc.balance for acc in ledger.accounts}
-    for entry in entries:
+    dim = ledger.dimension
+    known = ledger._by_name
+    sides: dict[str, list[int]] = {}  # debit components, then credit components
+    for i, entry in enumerate(journal):
+        residual = [0] * dim
         for posting in entry.postings:
-            balances[posting.account] = balances[posting.account] + posting.term()
-    return ledger.with_balances(balances)
+            amount = posting.amount.components
+            acc = sides.get(posting.account)
+            if acc is None:
+                account = known.get(posting.account)
+                if account is None:
+                    raise PostingError(i, entry, validate_entry(entry, ledger))
+                balance = account.balance
+                acc = sides[posting.account] = [
+                    *balance.debit.components,
+                    *balance.credit.components,
+                ]
+            if len(amount) != dim:
+                raise PostingError(i, entry, validate_entry(entry, ledger))
+            if posting.side is Side.DR:
+                for j, c in enumerate(amount):
+                    acc[j] += c
+                    residual[j] += c
+            else:
+                for j, c in enumerate(amount):
+                    acc[dim + j] += c
+                    residual[j] -= c
+        if any(residual):
+            raise PostingError(i, entry, validate_entry(entry, ledger))
+    accounts = []
+    for account in ledger.accounts:
+        acc = sides.get(account.name)
+        if acc is not None:
+            balance = TTerm(NatVec(tuple(acc[:dim])), NatVec(tuple(acc[dim:])))
+            account = replace(account, balance=balance)
+        accounts.append(account)
+    return replace(ledger, accounts=tuple(accounts))
 
 
 def trial_balance(ledger: Ledger) -> TrialBalance:

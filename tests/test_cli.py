@@ -1,9 +1,14 @@
 """End-to-end behaviour of the command-line surface."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pacioli
 import support
 from pacioli import parse_ledger, reduce_ledger, post, parse_journal
 from pacioli.cli import run_command
@@ -302,3 +307,32 @@ def test_posting_failure_exit_code(data, capsys):
         == 1
     )
     assert "residual" in capsys.readouterr().err
+
+
+def test_zero_denominator_price_is_usage_error(data, capsys):
+    assert run("value", "--ledger", data / "scalar.ledger", "--prices", "1/0") == 2
+    err = capsys.readouterr().err
+    assert "invalid price '1/0'" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_input_exit_code(data, capsys):
+    bad = data / "latin1.ledger"
+    bad.write_bytes("pacioli-ledger v1\n# café\n".encode("latin-1"))
+    assert run("report", "--ledger", bad) == 2
+    err = capsys.readouterr().err
+    assert "latin1.ledger" in err and "not UTF-8" in err
+
+
+def test_python_dash_m_runs_the_cli(data):
+    src = Path(pacioli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["report", "--ledger", data / "scalar.ledger"]
+    result = subprocess.run(
+        [sys.executable, "-m", "pacioli.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-5:] == "15000 = 10000 + 5000".split()

@@ -206,6 +206,18 @@ def test_unbalanced_ledger_reports_residual():
             4,
             "unknown directive",
         ),
+        # digits outside ASCII pass str.isdigit but are not amounts
+        (
+            'pacioli-journal v1\ndimension 2\nentry "a"\ndr A 5 \u0663\nend\n',
+            4,
+            "bad amount '\u0663'",
+        ),
+        (
+            'pacioli-journal v1\ndimension 2\nentry "a"\ncr A \u00b2 5\nend\n',
+            4,
+            "bad amount '\u00b2'",
+        ),
+        ("pacioli-journal v1\ndimension \u00b2\n", 2, "expected 'dimension <n>'"),
     ],
 )
 def test_journal_parse_errors(text, line_no, fragment):

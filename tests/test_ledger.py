@@ -1,9 +1,11 @@
 """The double-entry cycle: encode, validate, post, balance, reduce, decode,
 close."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import support
 from pacioli import (
@@ -225,6 +227,59 @@ def test_post_preserves_zero_on_random_cases():
         posted = post(ledger, journal)
         assert posted.is_balanced()
         assert trial_balance(posted).balanced
+
+
+def assert_unchanged(ledger, before, accounts):
+    assert ledger == before
+    assert ledger.accounts is accounts
+    assert all(a is b for a, b in zip(ledger.accounts, accounts))
+
+
+@given(st.data())
+def test_post_matches_reference_fold(data):
+    ledger = data.draw(support.ledgers())
+    journal = data.draw(support.journals(ledger))
+    before, accounts = copy.deepcopy(ledger), ledger.accounts
+    expected = support.reference_post(ledger, journal)
+    assert post(ledger, journal) == expected
+    assert post(ledger, (e for e in journal)) == expected  # any iterable
+    assert_unchanged(ledger, before, accounts)
+
+
+@given(st.data())
+def test_post_failure_matches_reference(data):
+    ledger = data.draw(support.ledgers())
+    journal = data.draw(support.journals(ledger))
+    bad = data.draw(support.invalid_entries(ledger))
+    journal.insert(data.draw(st.integers(0, len(journal))), bad)
+    before, accounts = copy.deepcopy(ledger), ledger.accounts
+    with pytest.raises(PostingError) as expected:
+        support.reference_post(ledger, journal)
+    with pytest.raises(PostingError) as got:
+        post(ledger, iter(journal))
+    assert got.value.entry_index == expected.value.entry_index
+    assert str(got.value) == str(expected.value)
+    assert got.value.report == expected.value.report
+    assert_unchanged(ledger, before, accounts)
+
+
+@given(st.data())
+def test_validate_entry_matches_reference(data):
+    ledger = data.draw(support.ledgers())
+    entry = data.draw(
+        st.one_of(support.valid_entries(ledger), support.invalid_entries(ledger))
+    )
+    assert validate_entry(entry, ledger) == support.reference_validate_entry(
+        entry, ledger
+    )
+
+
+def test_account_lookup(scalar_ledger):
+    assert scalar_ledger.has_account("Equity")
+    assert not scalar_ledger.has_account("Nowhere")
+    assert scalar_ledger.account("Liabilities") is scalar_ledger.accounts[1]
+    with pytest.raises(LedgerError, match="unknown account 'Nowhere'"):
+        scalar_ledger.account("Nowhere")
 
 
 # --- trial balance ---
