@@ -9,104 +9,24 @@ to scalars through exact price vectors, and maps onto the equivalent
 signed single-sided system.
 """
 
-from .algebra import DimensionMismatch, IntVec, NatVec, TTerm
-from .fractions import Fraction
-from .ledger import (
-    Account,
-    BalanceSheetEquation,
-    EntryValidation,
-    JournalEntry,
-    Ledger,
-    LedgerError,
-    Posting,
-    PostingError,
-    Side,
-    TrialBalance,
-    close_nominal,
-    decode_equation,
-    encode_equation,
-    post,
-    reduce_ledger,
-    trial_balance,
-    validate_entry,
-)
-from .sss import (
-    SignedAccount,
-    SignedLedger,
-    SignedRow,
-    journal_to_signed,
-    signed_post,
-    to_signed,
-    zero_row_check,
-)
-from .table import (
-    TableError,
-    TableSums,
-    TransactionsTable,
-    build_table,
-    consistency_check,
-    net_changes,
-    table_sums,
-)
-from .valuation import PriceVector, dot_value, value_ledger
-from .fileformat import (
-    JOURNAL_MAGIC,
-    LEDGER_MAGIC,
-    ParseError,
-    parse_journal,
-    parse_ledger,
-    render_journal,
-    render_ledger,
-)
+from . import algebra, fileformat, fractions, ledger, sss, table, valuation
+from .algebra import *
+from .fractions import *
+from .ledger import *
+from .sss import *
+from .table import *
+from .valuation import *
+from .fileformat import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionMismatch",
-    "IntVec",
-    "NatVec",
-    "TTerm",
-    "Fraction",
-    "Account",
-    "BalanceSheetEquation",
-    "EntryValidation",
-    "JournalEntry",
-    "Ledger",
-    "LedgerError",
-    "Posting",
-    "PostingError",
-    "Side",
-    "TrialBalance",
-    "close_nominal",
-    "decode_equation",
-    "encode_equation",
-    "post",
-    "reduce_ledger",
-    "trial_balance",
-    "validate_entry",
-    "SignedAccount",
-    "SignedLedger",
-    "SignedRow",
-    "journal_to_signed",
-    "signed_post",
-    "to_signed",
-    "zero_row_check",
-    "TableError",
-    "TableSums",
-    "TransactionsTable",
-    "build_table",
-    "consistency_check",
-    "net_changes",
-    "table_sums",
-    "PriceVector",
-    "dot_value",
-    "value_ledger",
-    "JOURNAL_MAGIC",
-    "LEDGER_MAGIC",
-    "ParseError",
-    "parse_journal",
-    "parse_ledger",
-    "render_journal",
-    "render_ledger",
+    *algebra.__all__,
+    *fractions.__all__,
+    *ledger.__all__,
+    *sss.__all__,
+    *table.__all__,
+    *valuation.__all__,
+    *fileformat.__all__,
     "__version__",
 ]

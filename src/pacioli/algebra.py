@@ -15,8 +15,11 @@ into its disjoint positive and negative parts (Jordan decomposition) and
 lands on one side or the other of a T-term.
 
 Everything here is immutable and pure; dimensions are checked on every
-binary operation.  Components are plain Python ints, so magnitudes are
-unbounded and no overflow handling is needed.
+binary operation.  Components are plain Python ints, so in memory
+magnitudes are unbounded and no overflow handling is needed.  File I/O is
+bounded by the interpreter's int/str digit limit (4300 digits by default,
+see ``sys.get_int_max_str_digits``): a longer amount is a parse error,
+exit status 2 on the command line.
 """
 
 from dataclasses import dataclass
@@ -36,35 +39,31 @@ def _same_dimension(a, b) -> None:
         )
 
 
-def _checked_components(components, *, signed: bool) -> tuple[int, ...]:
-    items = tuple(components)
-    if not items:
-        raise ValueError("a vector needs at least one component")
-    for c in items:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise TypeError(f"vector component {c!r} is not an int")
-        if not signed and c < 0:
-            raise ValueError(f"negative component {c} in an unsigned vector")
-    return items
-
-
 @dataclass(frozen=True)
-class NatVec:
-    """An ordered tuple of unsigned integers (dimension >= 1)."""
+class _Vec:
+    """An ordered tuple of integers (dimension >= 1); the subclasses differ
+    only in whether a component may be negative."""
 
     components: tuple[int, ...]
+    _signed = True
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", _checked_components(self.components, signed=False)
-        )
+        items = tuple(self.components)
+        if not items:
+            raise ValueError("a vector needs at least one component")
+        for c in items:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"vector component {c!r} is not an int")
+            if c < 0 and not self._signed:
+                raise ValueError(f"negative component {c} in an unsigned vector")
+        object.__setattr__(self, "components", items)
 
     @classmethod
-    def of(cls, *components: int) -> "NatVec":
+    def of(cls, *components: int):
         return cls(components)
 
     @classmethod
-    def zeros(cls, dimension: int) -> "NatVec":
+    def zeros(cls, dimension: int):
         return cls((0,) * dimension)
 
     @property
@@ -80,9 +79,24 @@ class NatVec:
     def __getitem__(self, index: int) -> int:
         return self.components[index]
 
-    def __add__(self, other: "NatVec") -> "NatVec":
+    def __add__(self, other):
         _same_dimension(self, other)
-        return NatVec(tuple(a + b for a, b in zip(self.components, other.components)))
+        return type(self)(tuple(a + b for a, b in zip(self.components, other.components)))
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.components)
+
+    def __str__(self) -> str:
+        if len(self.components) == 1:
+            return str(self.components[0])
+        return "(" + ", ".join(str(c) for c in self.components) + ")"
+
+
+@dataclass(frozen=True)
+class NatVec(_Vec):
+    """An ordered tuple of unsigned integers (dimension >= 1)."""
+
+    _signed = False
 
     def minimum(self, other: "NatVec") -> "NatVec":
         """Componentwise minimum."""
@@ -99,36 +113,13 @@ class NatVec:
         _same_dimension(self, other)
         return all(min(a, b) == 0 for a, b in zip(self.components, other.components))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.components)
-
     def to_signed(self) -> "IntVec":
         return IntVec(self.components)
 
-    def __str__(self) -> str:
-        if len(self.components) == 1:
-            return str(self.components[0])
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
-
 
 @dataclass(frozen=True)
-class IntVec:
+class IntVec(_Vec):
     """An ordered tuple of signed integers (dimension >= 1)."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "components", _checked_components(self.components, signed=True)
-        )
-
-    @classmethod
-    def of(cls, *components: int) -> "IntVec":
-        return cls(components)
-
-    @classmethod
-    def zeros(cls, dimension: int) -> "IntVec":
-        return cls((0,) * dimension)
 
     @classmethod
     def total(cls, vectors: Iterable["IntVec"], dimension: int) -> "IntVec":
@@ -138,32 +129,12 @@ class IntVec:
             result = result + v
         return result
 
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.components)
-
-    def __getitem__(self, index: int) -> int:
-        return self.components[index]
-
-    def __add__(self, other: "IntVec") -> "IntVec":
-        _same_dimension(self, other)
-        return IntVec(tuple(a + b for a, b in zip(self.components, other.components)))
-
     def __sub__(self, other: "IntVec") -> "IntVec":
         _same_dimension(self, other)
         return IntVec(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def __neg__(self) -> "IntVec":
         return IntVec(tuple(-c for c in self.components))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.components)
 
     def jordan(self) -> tuple[NatVec, NatVec]:
         """Split into disjoint unsigned positive and negative parts.
@@ -179,11 +150,6 @@ class IntVec:
     def to_unsigned(self) -> NatVec:
         """Reinterpret as unsigned; raises if any component is negative."""
         return NatVec(self.components)
-
-    def __str__(self) -> str:
-        if len(self.components) == 1:
-            return str(self.components[0])
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ errors.  Reports go to stdout, diagnostics to stderr.
 """
 
 import argparse
+import os
 import sys
 from fractions import Fraction as Rational
 from pathlib import Path
@@ -117,6 +118,19 @@ def _read(path: str) -> str:
         raise ParseError(message) from None
 
 
+def _write_out(path: str, text: str) -> None:
+    """Replace `path` with `text` atomically: write a temp file beside it,
+    then rename it over `path`.  On failure the temp file is removed and
+    `path` is left as it was."""
+    temp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_validate(args) -> int:
     ledger = parse_ledger(_read(args.ledger))
     journal = parse_journal(_read(args.journal))
@@ -143,7 +157,7 @@ def _cmd_post(args) -> int:
     ended = post(ledger, parse_journal(_read(args.journal)))
     text = render_ledger(reduce_ledger(ended))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_out(args.out, text)
     else:
         print(text, end="")
     return 0
@@ -200,7 +214,7 @@ def _cmd_close(args) -> int:
     print(render_journal(entries, ledger.dimension), end="")
     text = render_ledger(closed)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_out(args.out, text)
     else:
         print()
         print(text, end="")

@@ -25,6 +25,10 @@ Journal file::
     cr <Account> <a_1> ... <a_n>
     end
 
+Amounts and the dimension may not exceed the interpreter's int/str digit
+limit (4300 digits by default, see ``sys.get_int_max_str_digits``); a
+longer number is a :class:`ParseError` with its line number.
+
 Each entry holds one or more posting lines.  Descriptions are quoted and
 may contain spaces but not ``"`` or ``#``.  The parser checks shape only;
 whether an entry balances is the validator's business.
@@ -79,13 +83,22 @@ def _is_amount(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _ints(tokens: list[str], line_no: int) -> tuple[int, ...]:
+    """Convert checked digit tokens; a token longer than the interpreter's
+    int/str digit limit is a parse error."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError as exc:
+        raise ParseError(f"number too long: {exc}", line_no) from None
+
+
 def _parse_amounts(tokens: list[str], n: int, line_no: int) -> NatVec:
     if len(tokens) != n:
         raise ParseError(f"expected {n} amount component(s), got {len(tokens)}", line_no)
     if not _is_amount("".join(tokens)):  # tokens are never empty
         token = next(t for t in tokens if not _is_amount(t))
         raise ParseError(f"bad amount {token!r} (unsigned integer expected)", line_no)
-    return NatVec(tuple(map(int, tokens)))
+    return NatVec(_ints(tokens, line_no))
 
 
 def _parse_header(lines: Iterator[tuple[int, str]], magic: str) -> int:
@@ -103,7 +116,7 @@ def _parse_header(lines: Iterator[tuple[int, str]], magic: str) -> int:
     tokens = line.split()
     if tokens[0] != "dimension" or len(tokens) != 2 or not _is_amount(tokens[1]):
         raise ParseError("expected 'dimension <n>'", line_no)
-    dimension = int(tokens[1])
+    (dimension,) = _ints(tokens[1:], line_no)
     if dimension < 1:
         raise ParseError("dimension must be >= 1", line_no)
     return dimension

@@ -134,10 +134,15 @@ class Ledger:
             raise LedgerError(f"unknown account {name!r}") from None
 
     def total(self) -> TTerm:
-        result = TTerm.zero(self.dimension)
+        """The sum of every balance, both sides added in one pass on ints."""
+        debit = [0] * self.dimension
+        credit = [0] * self.dimension
         for acc in self.accounts:
-            result = result + acc.balance
-        return result
+            for j, c in enumerate(acc.balance.debit.components):
+                debit[j] += c
+            for j, c in enumerate(acc.balance.credit.components):
+                credit[j] += c
+        return TTerm(NatVec(tuple(debit)), NatVec(tuple(credit)))
 
     def is_balanced(self) -> bool:
         return self.total().is_zero()
@@ -390,12 +395,8 @@ def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
 
 def trial_balance(ledger: Ledger) -> TrialBalance:
     """Sum the debit sides and the credit sides of every account."""
-    debit = NatVec.zeros(ledger.dimension)
-    credit = NatVec.zeros(ledger.dimension)
-    for acc in ledger.accounts:
-        debit = debit + acc.balance.debit
-        credit = credit + acc.balance.credit
-    return TrialBalance(debit, credit, balanced=debit == credit)
+    total = ledger.total()
+    return TrialBalance(total.debit, total.credit, balanced=total.is_zero())
 
 
 def reduce_ledger(ledger: Ledger) -> Ledger:
@@ -407,16 +408,9 @@ def reduce_ledger(ledger: Ledger) -> Ledger:
 
 def decode_equation(ledger: Ledger) -> BalanceSheetEquation:
     """Decode each balance on its account's side, rebuilding the equation."""
-    lhs = tuple(
-        (acc.name, acc.balance.debit_balance())
-        for acc in ledger.accounts
-        if acc.role is Side.DR
-    )
-    rhs = tuple(
-        (acc.name, acc.balance.credit_balance())
-        for acc in ledger.accounts
-        if acc.role is Side.CR
-    )
+    accounts = ledger.accounts
+    lhs = tuple((a.name, a.signed_balance()) for a in accounts if a.role is Side.DR)
+    rhs = tuple((a.name, a.signed_balance()) for a in accounts if a.role is Side.CR)
     return BalanceSheetEquation(lhs, rhs)
 
 

@@ -44,12 +44,6 @@ class SignedLedger:
     def names(self) -> tuple[str, ...]:
         return tuple(acc.name for acc in self.accounts)
 
-    def account(self, name: str) -> SignedAccount:
-        for acc in self.accounts:
-            if acc.name == name:
-                return acc
-        raise LedgerError(f"unknown account {name!r}")
-
     def balances(self) -> tuple[IntVec, ...]:
         return tuple(acc.balance for acc in self.accounts)
 
@@ -73,10 +67,8 @@ class SignedRow:
 
 def zero_row_check(vectors: Iterable[IntVec]) -> bool:
     """True iff the signed sum of `vectors` is zero (vacuously for none)."""
-    total = None
-    for v in vectors:
-        total = v if total is None else total + v
-    return total is None or total.is_zero()
+    vectors = tuple(vectors)
+    return not vectors or IntVec.total(vectors, vectors[0].dimension).is_zero()
 
 
 def to_signed(ledger: Ledger) -> SignedLedger:

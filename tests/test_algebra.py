@@ -266,3 +266,27 @@ def test_vector_conveniences():
     assert str(TTerm(nv(10500, 55, 50), nv(800, 15, 30))) == (
         "[(10500, 55, 50) // (800, 15, 30)]"
     )
+
+
+# --- what the shared vector base must keep apart ---
+
+
+def test_vector_classes_stay_distinct():
+    assert NatVec.of(1) != IntVec.of(1)
+    assert type(nv(1) + nv(2)) is NatVec
+    assert type(iv(1) + iv(2)) is IntVec
+    assert type(NatVec.zeros(2)) is NatVec and type(IntVec.zeros(2)) is IntVec
+    assert repr(nv(1)) == "NatVec(components=(1,))"
+    assert repr(iv(-1)) == "IntVec(components=(-1,))"
+
+
+small = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+
+
+@given(small, small)
+def test_hash_agrees_with_eq(a, b):
+    for cls in (NatVec, IntVec):
+        x, y = cls(a), cls(b)
+        assert (x == y) == (a == b)
+        if x == y:
+            assert hash(x) == hash(y)

@@ -324,6 +324,50 @@ def test_non_utf8_input_exit_code(data, capsys):
     assert "latin1.ledger" in err and "not UTF-8" in err
 
 
+def test_over_long_amount_is_parse_error(data, capsys):
+    huge = data / "huge.ledger"
+    digits = "7" * 5000
+    huge.write_text(
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        f"account A dr {digits} // 0\naccount B cr 0 // {digits}\n"
+    )
+    assert run("report", "--ledger", huge) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "number too long" in err
+    assert "Traceback" not in err
+
+
+def out_argv(command, data, out_file):
+    extra = {"post": ["--journal", data / "scalar.journal"], "close": ["--equity", "Equity"]}
+    return [command, "--ledger", data / "scalar.ledger", *extra[command], "--out", out_file]
+
+
+@pytest.mark.parametrize("command", ["close", "post"])
+def test_out_replaces_target(data, command, capsys):
+    out_file = data / "out.ledger"
+    out_file.write_text("old\n")
+    before = sorted(p.name for p in data.iterdir())
+    assert run(*out_argv(command, data, out_file)) == 0
+    assert parse_ledger(out_file.read_text()).dimension == 1
+    assert sorted(p.name for p in data.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["close", "post"])
+def test_out_failure_keeps_target(data, command, capsys, monkeypatch):
+    out_file = data / "out.ledger"
+    out_file.write_bytes(b"old contents\n")
+    before = sorted(p.name for p in data.iterdir())
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert run(*out_argv(command, data, out_file)) == 2
+    assert out_file.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in data.iterdir()) == before
+    assert "rename refused" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli(data):
     src = Path(pacioli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

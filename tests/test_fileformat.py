@@ -151,6 +151,15 @@ def test_comments_and_blank_lines_ignored():
             5,
             "duplicate account",
         ),
+        # beyond the interpreter's int/str digit limit (4300 by default)
+        pytest.param(
+            "pacioli-ledger v1\ndimension 1\nunits u\naccount A dr "
+            + "9" * 5000
+            + " // 0\n",
+            4,
+            "number too long",
+            id="5000-digit-amount",
+        ),
     ],
 )
 def test_ledger_parse_errors(text, line_no, fragment):
@@ -218,6 +227,19 @@ def test_unbalanced_ledger_reports_residual():
             "bad amount '\u00b2'",
         ),
         ("pacioli-journal v1\ndimension \u00b2\n", 2, "expected 'dimension <n>'"),
+        # beyond the interpreter's int/str digit limit (4300 by default)
+        pytest.param(
+            'pacioli-journal v1\ndimension 1\nentry "a"\ndr A ' + "1" * 5000 + "\nend\n",
+            4,
+            "number too long",
+            id="5000-digit-amount",
+        ),
+        pytest.param(
+            "pacioli-journal v1\ndimension " + "1" * 5000 + "\n",
+            2,
+            "number too long",
+            id="5000-digit-dimension",
+        ),
     ],
 )
 def test_journal_parse_errors(text, line_no, fragment):

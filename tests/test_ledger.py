@@ -2,6 +2,7 @@
 close."""
 
 import copy
+import functools
 import random
 
 import pytest
@@ -323,6 +324,19 @@ def test_trial_balance_iff_zero_sum():
             + (Account("odd", Side.DR, TTerm(nv(*(1,) * ledger.dimension), NatVec.zeros(ledger.dimension))),),
         )
         assert not trial_balance(broken).balanced
+
+
+@given(support.ledgers())
+def test_total_is_the_fold_of_balances(ledger):
+    empty = Ledger(ledger.dimension, ledger.unit_names)
+    for case in (ledger, empty):
+        zero = TTerm.zero(case.dimension)
+        fold = functools.reduce(TTerm.__add__, (a.balance for a in case.accounts), zero)
+        total = case.total()
+        assert total == fold
+        tb = trial_balance(case)
+        assert (tb.debit_total, tb.credit_total) == (total.debit, total.credit)
+        assert tb.balanced == case.is_balanced() == total.is_zero()
 
 
 # --- reduction and decoding ---
