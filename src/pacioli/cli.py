@@ -24,7 +24,6 @@ from .ledger import (
     close_nominal,
     decode_equation,
     post,
-    reduce_ledger,
     trial_balance,
     validate_entry,
 )
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         out=True,
     )
     command("trial-balance", _cmd_trial_balance, "sum debit and credit sides")
-    command("report", _cmd_report, "reduced, decoded balance sheet")
+    command("report", _cmd_report, "decoded balance sheet")
     command(
         "matrix",
         _cmd_matrix,
@@ -153,9 +152,8 @@ def _cmd_validate(args) -> int:
 def _cmd_post(args) -> int:
     ledger = parse_ledger(_read(args.ledger))
     # The journal is left unnamed so that it is freed once posted, before
-    # reduce and render build their copies of the ledger.
-    ended = post(ledger, parse_journal(_read(args.journal)))
-    text = render_ledger(reduce_ledger(ended))
+    # render builds the reduced text of the ledger.
+    text = render_ledger(post(ledger, parse_journal(_read(args.journal))))
     if args.out:
         _write_out(args.out, text)
     else:
@@ -173,7 +171,7 @@ def _cmd_trial_balance(args) -> int:
 
 def _cmd_report(args) -> int:
     ledger = parse_ledger(_read(args.ledger))
-    print(render_balance_sheet(decode_equation(reduce_ledger(ledger))))
+    print(render_balance_sheet(decode_equation(ledger)))
     return 0
 
 
@@ -203,8 +201,7 @@ def _cmd_sss(args) -> int:
 def _cmd_value(args) -> int:
     ledger = parse_ledger(_read(args.ledger))
     prices = PriceVector(tuple(args.prices))
-    valued = value_ledger(ledger, prices)
-    print(render_balance_sheet(decode_equation(reduce_ledger(valued))))
+    print(render_balance_sheet(decode_equation(value_ledger(ledger, prices))))
     return 0
 
 
@@ -230,10 +227,7 @@ def run_command(argv: Sequence[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LedgerError, TableError, DimensionMismatch, ValueError) as exc:

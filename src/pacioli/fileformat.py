@@ -30,8 +30,8 @@ limit (4300 digits by default, see ``sys.get_int_max_str_digits``); a
 longer number is a :class:`ParseError` with its line number.
 
 Each entry holds one or more posting lines.  Descriptions are quoted and
-may contain spaces but not ``"`` or ``#``.  The parser checks shape only;
-whether an entry balances is the validator's business.
+may contain spaces but not ``"``, ``#`` or a line break.  The parser checks
+shape only; whether an entry balances is the validator's business.
 
 Ledgers are written back in reduced form: that is the canonical on-disk
 representation.
@@ -42,6 +42,7 @@ from typing import Iterator
 
 from .algebra import NatVec, TTerm
 from .ledger import Account, JournalEntry, Ledger, LedgerError, Posting, Side
+from .ledger import _check_name
 
 __all__ = [
     "LEDGER_MAGIC",
@@ -58,6 +59,10 @@ JOURNAL_MAGIC = "pacioli-journal v1"
 
 _SIDES = {side.value: side for side in Side}
 _ENTRY_RE = re.compile(r'^entry\s+"([^"]*)"$')
+# Fits a description on one quoted line; each `str.splitlines` break is a space.
+_DESCRIPTION = str.maketrans(
+    {'"': "'", "#": None, **dict.fromkeys("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " ")}
+)
 
 
 class ParseError(ValueError):
@@ -252,11 +257,13 @@ def render_ledger(ledger: Ledger, *, reduced: bool = True) -> str:
 
 
 def render_journal(entries, dimension: int) -> str:
+    """Render a journal file that parses back: a posting account that is
+    not a valid account name raises :class:`LedgerError`."""
     out = [JOURNAL_MAGIC, f"dimension {dimension}"]
     for entry in entries:
-        description = entry.description.replace('"', "'").replace("#", "")
-        out.append(f'entry "{description}"')
+        out.append(f'entry "{entry.description.translate(_DESCRIPTION)}"')
         for p in entry.postings:
+            _check_name(p.account, "account")
             out.append(f"{p.side.value} {p.account} {_render_amounts(p.amount)}")
         out.append("end")
     return "\n".join(out) + "\n"

@@ -3,8 +3,11 @@
 A balance-sheet equation encodes as a ledger of T-term accounts that sum
 to the zero T-term; transactions encode as journal entries whose postings
 also sum to zero; posting the journal adds those zero-terms to the account
-balances, so the ledger invariant survives every valid posting.  Reducing
-and decoding the ended ledger yields the ending equation.
+balances, so the ledger invariant survives every valid posting.  Decoding
+the ended ledger yields the ending equation.  Decoding reads ``[d // c]``
+as ``d - c`` (or ``c - d``), a function on the group's equivalence classes,
+so it needs no reduction first; reduction only picks the canonical
+representative, the form `render_ledger` writes.
 
 Ledgers are immutable: `post` and friends return new values.
 """
@@ -70,6 +73,13 @@ class Account:
     def __post_init__(self):
         _check_name(self.name, "account")
 
+    @classmethod
+    def from_signed(cls, name: str, role: Side, value: IntVec, nominal=False):
+        """The account whose :meth:`signed_balance` is `value`, reduced."""
+        if role is Side.DR:
+            return cls(name, role, TTerm.from_debit_balance(value), nominal)
+        return cls(name, role, TTerm.from_credit_balance(value), nominal)
+
     def signed_balance(self) -> IntVec:
         """The balance decoded on the account's own side."""
         if self.role is Side.DR:
@@ -78,17 +88,17 @@ class Account:
 
 
 @dataclass(frozen=True)
-class Ledger:
-    """An ordered listing of accounts over a fixed dimension.
+class _Book:
+    """An ordered listing of named accounts over a fixed dimension, shared
+    by the T-term `Ledger` and the signed `SignedLedger`.
 
-    Construction checks names and dimensions but *not* the zero-account
-    property: an unbalanced ledger is representable (that is what a trial
-    balance is for), it just cannot come out of `encode_equation` or `post`.
+    Construction checks the dimension, the unit names, that account names
+    are distinct and that every balance has the book's dimension.
     """
 
     dimension: int
     unit_names: tuple[str, ...]
-    accounts: tuple[Account, ...] = ()
+    accounts: tuple = ()
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -115,7 +125,7 @@ class Ledger:
                 )
 
     @cached_property
-    def _by_name(self) -> dict[str, Account]:
+    def _by_name(self) -> dict:
         """Account name -> account, built on the first lookup only, so the
         ledger copies that `post`, `reduce_ledger` and friends make do not
         each pay for a map."""
@@ -127,11 +137,21 @@ class Ledger:
     def has_account(self, name: str) -> bool:
         return name in self._by_name
 
-    def account(self, name: str) -> Account:
+    def account(self, name: str):
         try:
             return self._by_name[name]
         except KeyError:
             raise LedgerError(f"unknown account {name!r}") from None
+
+
+@dataclass(frozen=True)
+class Ledger(_Book):
+    """A listing of T-term `Account`s.
+
+    Construction does *not* check the zero-account property: an unbalanced
+    ledger is representable (that is what a trial balance is for), it just
+    cannot come out of `encode_equation` or `post`.
+    """
 
     def total(self) -> TTerm:
         """The sum of every balance, both sides added in one pass on ints."""
@@ -277,29 +297,16 @@ def encode_equation(
     Left-hand terms become debit-balance accounts, right-hand terms
     credit-balance accounts.  `unit_names` default to "u1".."un";
     `dimension` is inferred from the terms (needed only for the empty
-    equation, where it defaults to 1).
+    equation, where it defaults to 1).  `Ledger` construction rejects
+    duplicate names and terms of another dimension.
     """
-    inferred = eq.dimension()
-    dim = dimension if dimension is not None else (inferred or 1)
+    dim = dimension if dimension is not None else (eq.dimension() or 1)
     if not eq.balances():
         raise LedgerError("equation does not balance; cannot encode")
-    names = [name for name, _ in eq.terms()]
-    if len(set(names)) != len(names):
-        raise LedgerError("duplicate term names in equation")
-    for _, value in eq.terms():
-        if value.dimension != dim:
-            raise DimensionMismatch(
-                f"term dimension {value.dimension} differs from {dim}"
-            )
     if unit_names is None:
         unit_names = tuple(f"u{i + 1}" for i in range(dim))
-    accounts = [
-        Account(name, Side.DR, TTerm.from_debit_balance(value))
-        for name, value in eq.lhs
-    ] + [
-        Account(name, Side.CR, TTerm.from_credit_balance(value))
-        for name, value in eq.rhs
-    ]
+    accounts = [Account.from_signed(name, Side.DR, value) for name, value in eq.lhs]
+    accounts += [Account.from_signed(name, Side.CR, value) for name, value in eq.rhs]
     return Ledger(dim, tuple(unit_names), tuple(accounts))
 
 

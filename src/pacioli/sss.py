@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .algebra import DimensionMismatch, IntVec
 from .ledger import JournalEntry, Ledger, LedgerError, PostingError, Side, validate_entry
+from .ledger import _Book
 
 __all__ = [
     "SignedAccount",
@@ -36,13 +37,8 @@ class SignedAccount:
 
 
 @dataclass(frozen=True)
-class SignedLedger:
-    dimension: int
-    unit_names: tuple[str, ...]
-    accounts: tuple[SignedAccount, ...] = ()
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(acc.name for acc in self.accounts)
+class SignedLedger(_Book):
+    """A listing of `SignedAccount`s, checked on construction as a `Ledger` is."""
 
     def balances(self) -> tuple[IntVec, ...]:
         return tuple(acc.balance for acc in self.accounts)
@@ -108,10 +104,9 @@ def signed_post(ledger: SignedLedger, rows: Iterable[SignedRow]) -> SignedLedger
     the zero vector; the zero-row property of the ledger is then preserved.
     """
     rows = list(rows)
-    names = set(ledger.names())
     for i, row in enumerate(rows):
         for name, change in row.changes:
-            if name not in names:
+            if not ledger.has_account(name):
                 raise LedgerError(f"row {i + 1}: unknown account {name!r}")
             if change.dimension != ledger.dimension:
                 raise DimensionMismatch(

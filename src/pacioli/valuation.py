@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Rational
 from typing import Union
 
-from .algebra import DimensionMismatch, IntVec, NatVec, TTerm
-from .ledger import Account, Ledger, Side
+from .algebra import DimensionMismatch, IntVec, NatVec
+from .ledger import Account, Ledger
 
 __all__ = ["PriceVector", "dot_value", "value_ledger"]
 
@@ -75,9 +75,5 @@ def value_ledger(
                 f"account {acc.name!r} values to non-integer {value}"
             )
         scalar = IntVec.of(int(value))
-        if acc.role is Side.DR:
-            balance = TTerm.from_debit_balance(scalar)
-        else:
-            balance = TTerm.from_credit_balance(scalar)
-        accounts.append(Account(acc.name, acc.role, balance, acc.nominal))
+        accounts.append(Account.from_signed(acc.name, acc.role, scalar, acc.nominal))
     return Ledger(1, (unit_name,), tuple(accounts))

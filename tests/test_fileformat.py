@@ -5,6 +5,7 @@ import pytest
 import support
 from pacioli import (
     JournalEntry,
+    LedgerError,
     NatVec,
     ParseError,
     Posting,
@@ -284,3 +285,22 @@ def test_render_journal_sanitizes_descriptions():
     text = render_journal([entry], dimension=1)
     parsed = parse_journal(text)
     assert parsed[0].description == "say 'hi'  ok"
+
+
+# Every break that `str.splitlines` splits on, and the two-character "\r\n".
+@pytest.mark.parametrize(
+    "brk",
+    ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\n"],
+    ids=ascii,
+)
+def test_render_journal_folds_line_breaks(brk):
+    entry = JournalEntry(f"a{brk}b", (Posting("A", Side.DR, nv(0)),))
+    parsed = parse_journal(render_journal([entry], dimension=1))
+    assert parsed[0].description == "a" + " " * len(brk) + "b"
+
+
+@pytest.mark.parametrize("account", ["A B", "A\tB", "A#B", "A\nB", ""], ids=ascii)
+def test_render_journal_rejects_unparseable_account(account):
+    entry = JournalEntry("t", (Posting(account, Side.DR, nv(0)),))
+    with pytest.raises(LedgerError, match="invalid account name"):
+        render_journal([entry], dimension=1)

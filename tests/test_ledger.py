@@ -27,6 +27,7 @@ from pacioli import (
     encode_equation,
     post,
     reduce_ledger,
+    render_ledger,
     trial_balance,
     validate_entry,
 )
@@ -97,6 +98,20 @@ def test_ledger_construction_errors():
         Ledger(2, ("a", "b"), (Account("A", Side.DR, tt(1, 0)),))
     with pytest.raises(LedgerError):
         Account("bad name", Side.DR, tt(0, 0))
+
+
+@pytest.mark.parametrize(
+    "role, encode",
+    [(Side.DR, TTerm.from_debit_balance), (Side.CR, TTerm.from_credit_balance)],
+    ids=["dr", "cr"],
+)
+@given(value=support.intvecs(), nominal=st.booleans())
+def test_from_signed_inverts_signed_balance(role, encode, value, nominal):
+    account = Account.from_signed("X", role, value, nominal)
+    assert account.signed_balance() == value
+    assert account.balance.is_reduced()
+    assert account.balance == encode(value)
+    assert (account.name, account.role, account.nominal) == ("X", role, nominal)
 
 
 # --- validation ---
@@ -379,6 +394,13 @@ def test_decode_empty_ledger():
     eq = decode_equation(Ledger(1, ("usd",)))
     assert eq.terms() == ()
     assert eq.balances()
+
+
+@given(support.ledgers())
+def test_decode_and_render_need_no_reduction(ledger):
+    reduced = reduce_ledger(ledger)
+    assert decode_equation(ledger) == decode_equation(reduced)
+    assert render_ledger(ledger) == render_ledger(reduced)
 
 
 def test_encode_decode_round_trip():

@@ -14,6 +14,8 @@ from pacioli import (
     Posting,
     PostingError,
     Side,
+    SignedAccount,
+    SignedLedger,
     SignedRow,
     journal_to_signed,
     post,
@@ -117,6 +119,16 @@ def test_signed_post_rejects_bad_rows(scalar_ledger):
         signed_post(signed, [SignedRow("bad", (("Nowhere", iv(0)),))])
     with pytest.raises(DimensionMismatch):
         signed_post(signed, [SignedRow("bad", (("Assets", iv(1, -1)),))])
+
+
+def test_signed_ledger_construction_errors():
+    acc = SignedAccount("A", Side.DR, iv(1))
+    with pytest.raises(LedgerError, match="duplicate"):
+        SignedLedger(1, ("usd",), (acc, acc))
+    with pytest.raises(DimensionMismatch):
+        SignedLedger(2, ("a", "b"), (acc,))
+    with pytest.raises(LedgerError, match="unit"):
+        SignedLedger(1, ("bad unit",), (acc,))
 
 
 def test_zero_row_check():
