@@ -123,11 +123,19 @@ class IntVec(_Vec):
 
     @classmethod
     def total(cls, vectors: Iterable["IntVec"], dimension: int) -> "IntVec":
-        """Signed sum of `vectors`; the zero vector of `dimension` if empty."""
-        result = cls.zeros(dimension)
+        """Signed sum of `vectors`; the zero vector of `dimension` if empty.
+
+        One pass on plain ints: the sum is built as a vector once, at the end.
+        """
+        result = [0] * dimension
         for v in vectors:
-            result = result + v
-        return result
+            if v.dimension != dimension:
+                raise DimensionMismatch(
+                    f"dimension mismatch: {dimension} vs {v.dimension}"
+                )
+            for j, c in enumerate(v.components):
+                result[j] += c
+        return cls(tuple(result))
 
     def __sub__(self, other: "IntVec") -> "IntVec":
         _same_dimension(self, other)

@@ -208,8 +208,11 @@ def _cmd_value(args) -> int:
 def _cmd_close(args) -> int:
     ledger = parse_ledger(_read(args.ledger))
     closed, entries = close_nominal(ledger, args.equity)
-    print(render_journal(entries, ledger.dimension), end="")
+    # Both texts are rendered before either is printed, so a render error
+    # prints nothing.
+    journal = render_journal(entries, ledger.dimension)
     text = render_ledger(closed)
+    print(journal, end="")
     if args.out:
         _write_out(args.out, text)
     else:

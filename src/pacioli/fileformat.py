@@ -38,6 +38,7 @@ representation.
 """
 
 import re
+import sys
 from typing import Iterator
 
 from .algebra import NatVec, TTerm
@@ -238,32 +239,61 @@ def parse_journal(text: str) -> list[JournalEntry]:
     return entries
 
 
+def _digit_limit_error(account: str) -> LedgerError:
+    """The error for an amount of `account`, grown in memory, that is past
+    the int/str digit limit bounding every number written."""
+    return LedgerError(
+        f"account {account!r}: an amount has more digits than the int/str "
+        f"digit limit ({sys.get_int_max_str_digits()}) allows in a file"
+    )
+
+
 def _render_amounts(vec: NatVec) -> str:
     return " ".join(str(c) for c in vec)
 
 
 def render_ledger(ledger: Ledger, *, reduced: bool = True) -> str:
-    """Render a ledger file; reduced balances are the canonical form."""
+    """Render a ledger file; reduced balances are the canonical form.
+
+    A balance past the int/str digit limit raises :class:`LedgerError`.
+    """
     out = [LEDGER_MAGIC, f"dimension {ledger.dimension}"]
     out.append("units " + " ".join(ledger.unit_names))
     for acc in ledger.accounts:
         balance = acc.balance.reduced() if reduced else acc.balance
         nominal = " nominal" if acc.nominal else ""
-        out.append(
-            f"account {acc.name} {acc.role.value}{nominal} "
-            f"{_render_amounts(balance.debit)} // {_render_amounts(balance.credit)}"
-        )
+        try:
+            debit = _render_amounts(balance.debit)
+            credit = _render_amounts(balance.credit)
+        except ValueError:
+            raise _digit_limit_error(acc.name) from None
+        out.append(f"account {acc.name} {acc.role.value}{nominal} {debit} // {credit}")
     return "\n".join(out) + "\n"
 
 
 def render_journal(entries, dimension: int) -> str:
-    """Render a journal file that parses back: a posting account that is
-    not a valid account name raises :class:`LedgerError`."""
+    """Render a journal file that parses back.
+
+    An entry with no postings, a posting account that is not a valid
+    account name, and an amount that is not of `dimension` or is past the
+    int/str digit limit each raise :class:`LedgerError`.
+    """
     out = [JOURNAL_MAGIC, f"dimension {dimension}"]
     for entry in entries:
+        if not entry.postings:
+            raise LedgerError(f"entry {entry.description!r} has no postings")
         out.append(f'entry "{entry.description.translate(_DESCRIPTION)}"')
         for p in entry.postings:
             _check_name(p.account, "account")
-            out.append(f"{p.side.value} {p.account} {_render_amounts(p.amount)}")
+            if p.amount.dimension != dimension:
+                raise LedgerError(
+                    f"posting to {p.account!r} has dimension "
+                    f"{p.amount.dimension}, journal has {dimension}"
+                )
+            try:
+                amounts = _render_amounts(p.amount)
+            except ValueError:
+                raise _digit_limit_error(p.account) from None
+            out.append(f"{p.side.value} {p.account} {amounts}")
         out.append("end")
     return "\n".join(out) + "\n"

@@ -1,7 +1,10 @@
 """Plain-text rendering of balance sheets, trial balances, grids, and
 signed-ledger views."""
 
-from .algebra import TTerm
+from typing import Iterable
+
+from .algebra import IntVec, TTerm
+from .fileformat import _digit_limit_error
 from .ledger import BalanceSheetEquation, Ledger, TrialBalance
 from .sss import SignedLedger, SignedRow
 from .table import TableSums, TransactionsTable
@@ -14,18 +17,29 @@ __all__ = [
 ]
 
 
-def _grid(rows: list[list[str]]) -> str:
-    """Align columns: first column left, the rest right, two-space gutters."""
-    widths = [0] * max(len(r) for r in rows)
+def _grid(rows: Iterable[Iterable[tuple[int, str]]]) -> str:
+    """Align sparse rows: first column left, the rest right, two-space gutters.
+
+    Each row is an iterable of ``(column, text)`` pairs; a column the row
+    leaves out is blank, and a column it names twice shows the last text.
+    Widths come from the shown cells only.  Each line starts as a copy of
+    the blank-padded columns, and only the row's own cells are padded and
+    filled in.
+    """
+    rows = [dict(row) for row in rows]
+    widths: dict[int, int] = {}
     for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+        for column, text in row.items():
+            widths[column] = max(widths.get(column, 0), len(text))
+    blank = [" " * widths.get(i, 0) for i in range(max(widths, default=-1) + 1)]
     lines = []
     for row in rows:
-        cells = [
-            cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
-            for i, cell in enumerate(row)
-        ]
+        cells = blank.copy()
+        for column, text in row.items():
+            if column:
+                cells[column] = text.rjust(widths[column])
+            else:
+                cells[column] = text.ljust(widths[column])
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines)
 
@@ -69,17 +83,36 @@ def render_table_report(
     table: TransactionsTable, sums: TableSums, changes: dict[str, int], ledger: Ledger
 ) -> str:
     names = table.account_names
-    rows = [["Dr.\\Cr.", *names, "(row sum)"]]
+    last = len(names) + 1
+    rows = [enumerate(["Dr.\\Cr.", *names, "(row sum)"])]
     for i, name in enumerate(names):
-        cells = [str(c) if c else "" for c in table.cells[i]]
-        rows.append([name, *cells, str(sums.row_sums[i])])
-    rows.append(["(col sum)", *[str(c) for c in sums.col_sums], ""])
-    out = [_grid(rows), "", "net changes:"]
-    change_rows = []
-    for acc in ledger.accounts:
-        change_rows.append([acc.name, acc.role.value, str(changes[acc.name])])
-    out.append(_grid(change_rows))
-    return "\n".join(out)
+        rows.append(
+            [
+                (0, name),
+                *((j, str(c)) for j, c in enumerate(table.cells[i], start=1) if c),
+                (last, str(sums.row_sums[i])),
+            ]
+        )
+    rows.append(enumerate(["(col sum)", *[str(c) for c in sums.col_sums], ""]))
+    change_rows = [
+        enumerate([acc.name, acc.role.value, str(changes[acc.name])])
+        for acc in ledger.accounts
+    ]
+    return "\n".join([_grid(rows), "", "net changes:", _grid(change_rows)])
+
+
+def _cell(account: str, value: IntVec) -> str:
+    """`value` as text; past the int/str digit limit, a `LedgerError`
+    naming `account`."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _digit_limit_error(account) from None
+
+
+def _balance_row(label: str, ledger: SignedLedger):
+    cells = [_cell(acc.name, acc.balance) for acc in ledger.accounts]
+    return enumerate([label, *cells])
 
 
 def render_signed_report(
@@ -87,18 +120,26 @@ def render_signed_report(
     rows: list[SignedRow] | None = None,
     ending: SignedLedger | None = None,
 ) -> str:
-    """Single-sided signed view; with journal rows, the full posting table."""
-    names = ledger.names()
-    grid = [["", *names]]
-    grid.append(["beginning", *[str(acc.balance) for acc in ledger.accounts]])
+    """Single-sided signed view; with journal rows, the full posting table.
+
+    A transaction row shows only the accounts it changes, the last change
+    where it names one twice; a change to an account not in `ledger` is not
+    shown.  A balance or change past the int/str digit limit raises
+    :class:`LedgerError`.
+    """
+    column = {name: i for i, name in enumerate(ledger.names(), start=1)}
+    grid = [enumerate(["", *column]), _balance_row("beginning", ledger)]
     checks = [f"beginning zero-row: {'OK' if ledger.is_zero_row() else 'FAIL'}"]
     if rows is not None:
         for i, row in enumerate(rows, start=1):
-            changes = dict(row.changes)
             grid.append(
                 [
-                    f"{i}. {row.description}",
-                    *[str(changes[n]) if n in changes else "" for n in names],
+                    (0, f"{i}. {row.description}"),
+                    *(
+                        (column[name], _cell(name, change))
+                        for name, change in row.changes
+                        if name in column
+                    ),
                 ]
             )
         checks.append(
@@ -106,6 +147,6 @@ def render_signed_report(
             + ("OK" if all(row.is_zero() for row in rows) else "FAIL")
         )
     if ending is not None:
-        grid.append(["ending", *[str(acc.balance) for acc in ending.accounts]])
+        grid.append(_balance_row("ending", ending))
         checks.append(f"ending zero-row: {'OK' if ending.is_zero_row() else 'FAIL'}")
     return "\n".join([_grid(grid), "", *checks])

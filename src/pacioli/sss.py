@@ -83,16 +83,29 @@ def journal_to_signed(
 
     Entries must validate against `ledger`; a failure raises
     :class:`PostingError`.  Every produced row sums to zero.
+
+    Each entry's debits minus credits are netted per account in plain int
+    lists, in order of first appearance, and each change is built as an
+    `IntVec` once.
     """
+    dim = ledger.dimension
     rows = []
     for i, entry in enumerate(journal):
         report = validate_entry(entry, ledger)
         if not report.ok:
             raise PostingError(i, entry, report)
-        changes = tuple(
-            (name, term.debit_balance())
-            for name, term in entry.terms_by_account().items()
-        )
+        net: dict[str, list[int]] = {}
+        for posting in entry.postings:
+            change = net.get(posting.account)
+            if change is None:
+                change = net[posting.account] = [0] * dim
+            if posting.side is Side.DR:
+                for j, c in enumerate(posting.amount.components):
+                    change[j] += c
+            else:
+                for j, c in enumerate(posting.amount.components):
+                    change[j] -= c
+        changes = tuple((name, IntVec(tuple(c))) for name, c in net.items())
         rows.append(SignedRow(entry.description, changes))
     return rows
 
@@ -102,26 +115,38 @@ def signed_post(ledger: SignedLedger, rows: Iterable[SignedRow]) -> SignedLedger
 
     Rows must name known accounts, match the ledger dimension, and sum to
     the zero vector; the zero-row property of the ledger is then preserved.
+    The first row that breaks one of these rules raises.
+
+    One pass on plain ints: each touched balance accumulates in an int
+    list, each row's sum in another, and each touched ending balance is
+    built once.  Independent of `post` and `validate_entry` by design: the
+    commuting-square tests compare the two systems.
     """
-    rows = list(rows)
-    for i, row in enumerate(rows):
+    dim = ledger.dimension
+    known = ledger._by_name
+    sums: dict[str, list[int]] = {}
+    for i, row in enumerate(rows, start=1):
+        residual = [0] * dim
         for name, change in row.changes:
-            if not ledger.has_account(name):
-                raise LedgerError(f"row {i + 1}: unknown account {name!r}")
-            if change.dimension != ledger.dimension:
+            balance = sums.get(name)
+            if balance is None:
+                if name not in known:
+                    raise LedgerError(f"row {i}: unknown account {name!r}")
+                balance = sums[name] = list(known[name].balance.components)
+            if change.dimension != dim:
                 raise DimensionMismatch(
-                    f"row {i + 1}: change for {name!r} has dimension "
-                    f"{change.dimension}, ledger has {ledger.dimension}"
+                    f"row {i}: change for {name!r} has dimension "
+                    f"{change.dimension}, ledger has {dim}"
                 )
-        if not row.is_zero():
-            raise LedgerError(
-                f"row {i + 1} ({row.description!r}) does not sum to zero"
-            )
-    balances = {acc.name: acc.balance for acc in ledger.accounts}
-    for row in rows:
-        for name, change in row.changes:
-            balances[name] = balances[name] + change
+            for j, c in enumerate(change.components):
+                balance[j] += c
+                residual[j] += c
+        if any(residual):
+            raise LedgerError(f"row {i} ({row.description!r}) does not sum to zero")
     accounts = tuple(
-        replace(acc, balance=balances[acc.name]) for acc in ledger.accounts
+        replace(acc, balance=IntVec(tuple(sums[acc.name])))
+        if acc.name in sums
+        else acc
+        for acc in ledger.accounts
     )
     return replace(ledger, accounts=accounts)

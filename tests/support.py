@@ -7,24 +7,39 @@ builders take a caller-seeded ``random.Random`` so every loop is
 deterministic.
 """
 
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 
 from pacioli import (
     Account,
+    DimensionMismatch,
     EntryValidation,
     IntVec,
     JournalEntry,
     Ledger,
+    LedgerError,
     NatVec,
     Posting,
     PostingError,
     Side,
+    SignedLedger,
+    SignedRow,
     TTerm,
+    validate_entry,
 )
 
 DATA = Path(__file__).parent / "data"
+
+# The interpreter's int/str digit limit, the bound on every number in a
+# file; 0 where there is none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="the interpreter has no int/str digit limit"
+)
 
 
 # --- independent signed-integer oracle (raw tuples in, raw tuples out) ---
@@ -92,6 +107,117 @@ def reference_post(ledger: Ledger, journal) -> Ledger:
         for posting in entry.postings:
             balances[posting.account] = balances[posting.account] + posting.term()
     return ledger.with_balances(balances)
+
+
+# --- reference signed side path: T-terms per posting, vectors per step ---
+#
+# The signed mapping and posting as first written, kept as oracles for the
+# library's plain-int versions: each change is the debit reading of the
+# entry's net T-term, and posting adds whole `IntVec`s after checking every
+# row first.
+
+
+def reference_journal_to_signed(journal, ledger: Ledger) -> list[SignedRow]:
+    rows = []
+    for i, entry in enumerate(journal):
+        report = validate_entry(entry, ledger)
+        if not report.ok:
+            raise PostingError(i, entry, report)
+        changes = tuple(
+            (name, term.debit_balance())
+            for name, term in entry.terms_by_account().items()
+        )
+        rows.append(SignedRow(entry.description, changes))
+    return rows
+
+
+def reference_signed_post(ledger: SignedLedger, rows) -> SignedLedger:
+    rows = list(rows)
+    for i, row in enumerate(rows):
+        for name, change in row.changes:
+            if not ledger.has_account(name):
+                raise LedgerError(f"row {i + 1}: unknown account {name!r}")
+            if change.dimension != ledger.dimension:
+                raise DimensionMismatch(
+                    f"row {i + 1}: change for {name!r} has dimension "
+                    f"{change.dimension}, ledger has {ledger.dimension}"
+                )
+        if not row.is_zero():
+            raise LedgerError(
+                f"row {i + 1} ({row.description!r}) does not sum to zero"
+            )
+    balances = {acc.name: acc.balance for acc in ledger.accounts}
+    for row in rows:
+        for name, change in row.changes:
+            balances[name] = balances[name] + change
+    accounts = tuple(
+        replace(acc, balance=balances[acc.name]) for acc in ledger.accounts
+    )
+    return replace(ledger, accounts=accounts)
+
+
+def reference_total(vectors, dimension: int) -> IntVec:
+    result = IntVec.zeros(dimension)
+    for v in vectors:
+        result = result + v
+    return result
+
+
+# --- reference reports: dense rows, every cell padded ---
+
+
+def reference_grid(rows: list[list[str]]) -> str:
+    widths = [0] * max(len(r) for r in rows)
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    for row in rows:
+        cells = [
+            cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
+            for i, cell in enumerate(row)
+        ]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines)
+
+
+def reference_render_table_report(table, sums, changes, ledger: Ledger) -> str:
+    names = table.account_names
+    rows = [["Dr.\\Cr.", *names, "(row sum)"]]
+    for i, name in enumerate(names):
+        cells = [str(c) if c else "" for c in table.cells[i]]
+        rows.append([name, *cells, str(sums.row_sums[i])])
+    rows.append(["(col sum)", *[str(c) for c in sums.col_sums], ""])
+    out = [reference_grid(rows), "", "net changes:"]
+    change_rows = []
+    for acc in ledger.accounts:
+        change_rows.append([acc.name, acc.role.value, str(changes[acc.name])])
+    out.append(reference_grid(change_rows))
+    return "\n".join(out)
+
+
+def reference_render_signed_report(ledger: SignedLedger, rows=None, ending=None) -> str:
+    names = ledger.names()
+    grid = [["", *names]]
+    grid.append(["beginning", *[str(acc.balance) for acc in ledger.accounts]])
+    checks = [f"beginning zero-row: {'OK' if ledger.is_zero_row() else 'FAIL'}"]
+    if rows is not None:
+        for i, row in enumerate(rows, start=1):
+            changes = dict(row.changes)
+            grid.append(
+                [
+                    f"{i}. {row.description}",
+                    *[str(changes[n]) if n in changes else "" for n in names],
+                ]
+            )
+        checks.append(
+            "transaction zero-rows: "
+            + ("OK" if all(row.is_zero() for row in rows) else "FAIL")
+        )
+    if ending is not None:
+        grid.append(["ending", *[str(acc.balance) for acc in ending.accounts]])
+        checks.append(f"ending zero-row: {'OK' if ending.is_zero_row() else 'FAIL'}")
+    return "\n".join([reference_grid(grid), "", *checks])
 
 
 # --- deterministic random case builders ---

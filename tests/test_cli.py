@@ -337,6 +337,66 @@ def test_over_long_amount_is_parse_error(data, capsys):
     assert "Traceback" not in err
 
 
+def write_nines(path, text):
+    """Write `text` with each ``{nines}`` a number of `DIGIT_LIMIT` nines:
+    it fits a file, but a sum of two does not."""
+    path.write_text(text.format(nines="9" * support.DIGIT_LIMIT))
+    return path
+
+
+@pytest.fixture
+def posted_past_digit_limit(data):
+    """--ledger and --journal arguments whose posted balance of A is one
+    digit past the limit."""
+    ledger = write_nines(
+        data / "huge.ledger",
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        "account A dr {nines} // 0\naccount B cr 0 // {nines}\n",
+    )
+    journal = write_nines(
+        data / "huge.journal",
+        'pacioli-journal v1\ndimension 1\n'
+        'entry "twice"\ndr A {nines}\ncr B {nines}\nend\n',
+    )
+    return ["--ledger", ledger, "--journal", journal]
+
+
+def assert_digit_limit_error(capsys, account):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"account {account!r}" in err and "digit limit" in err
+    assert "Traceback" not in err
+
+
+@support.needs_digit_limit
+def test_post_past_digit_limit_writes_nothing(data, posted_past_digit_limit, capsys):
+    out_file = data / "out.ledger"
+    out_file.write_text("old\n")
+    before = sorted(p.name for p in data.iterdir())
+    assert run("post", *posted_past_digit_limit, "--out", out_file) == 1
+    assert out_file.read_text() == "old\n"
+    assert sorted(p.name for p in data.iterdir()) == before
+    assert_digit_limit_error(capsys, "A")
+
+
+@support.needs_digit_limit
+def test_sss_past_digit_limit_prints_nothing(posted_past_digit_limit, capsys):
+    assert run("sss", *posted_past_digit_limit) == 1
+    assert_digit_limit_error(capsys, "A")
+
+
+@support.needs_digit_limit
+def test_close_past_digit_limit_prints_nothing(data, capsys):
+    ledger = write_nines(
+        data / "huge.ledger",
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        "account A dr {nines} // 0\naccount B dr {nines} // 0\n"
+        "account Equity cr 0 // {nines}\naccount Revenue cr nominal 0 // {nines}\n",
+    )
+    assert run("close", "--ledger", ledger, "--equity", "Equity") == 1
+    assert_digit_limit_error(capsys, "Equity")
+
+
 def out_argv(command, data, out_file):
     extra = {"post": ["--journal", data / "scalar.journal"], "close": ["--equity", "Equity"]}
     return [command, "--ledger", data / "scalar.ledger", *extra[command], "--out", out_file]

@@ -1,10 +1,14 @@
 """Parsing and rendering of the ledger and journal grammars."""
 
+import re
+
 import pytest
 
 import support
 from pacioli import (
+    Account,
     JournalEntry,
+    Ledger,
     LedgerError,
     NatVec,
     ParseError,
@@ -303,4 +307,38 @@ def test_render_journal_folds_line_breaks(brk):
 def test_render_journal_rejects_unparseable_account(account):
     entry = JournalEntry("t", (Posting(account, Side.DR, nv(0)),))
     with pytest.raises(LedgerError, match="invalid account name"):
+        render_journal([entry], dimension=1)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (JournalEntry("none", ()), "entry 'none' has no postings"),
+        (
+            JournalEntry("wide", (Posting("A", Side.DR, nv(1, 2)),)),
+            "posting to 'A' has dimension 2, journal has 1",
+        ),
+    ],
+    ids=["no postings", "other dimension"],
+)
+def test_render_journal_rejects_unparseable_entry(entry, message):
+    with pytest.raises(LedgerError, match=re.escape(message)):
+        render_journal([entry], dimension=1)
+
+
+@support.needs_digit_limit
+def test_render_rejects_amounts_past_the_digit_limit():
+    big = nv(10**support.DIGIT_LIMIT)  # one digit more than a file may hold
+    ledger = Ledger(
+        1,
+        ("usd",),
+        (
+            Account("A", Side.DR, TTerm(big, nv(0))),
+            Account("B", Side.CR, TTerm(nv(0), big)),
+        ),
+    )
+    with pytest.raises(LedgerError, match="account 'A': .* digit limit"):
+        render_ledger(ledger)
+    entry = JournalEntry("big", (Posting("B", Side.DR, big),))
+    with pytest.raises(LedgerError, match="account 'B': .* digit limit"):
         render_journal([entry], dimension=1)
