@@ -14,6 +14,7 @@ from typing import Sequence
 from .algebra import DimensionMismatch
 from .fileformat import (
     ParseError,
+    iter_journal,
     parse_journal,
     parse_ledger,
     render_journal,
@@ -21,6 +22,7 @@ from .fileformat import (
 )
 from .ledger import (
     LedgerError,
+    PostingError,
     close_nominal,
     decode_equation,
     post,
@@ -151,9 +153,18 @@ def _cmd_validate(args) -> int:
 
 def _cmd_post(args) -> int:
     ledger = parse_ledger(_read(args.ledger))
-    # The journal is left unnamed so that it is freed once posted, before
-    # render builds the reduced text of the ledger.
-    text = render_ledger(post(ledger, parse_journal(_read(args.journal))))
+    # Entries are parsed as they are posted, so the parsed entries are never
+    # held as a list (the journal's text and its lines still are).
+    entries = iter_journal(_read(args.journal))
+    try:
+        ended = post(ledger, entries)
+    except PostingError:
+        # A syntax error anywhere in the journal outranks a posting error
+        # (exit 2, not 1), as when the whole journal is parsed first.
+        for _ in entries:
+            pass
+        raise
+    text = render_ledger(ended)
     if args.out:
         _write_out(args.out, text)
     else:

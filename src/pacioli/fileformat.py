@@ -33,6 +33,16 @@ Each entry holds one or more posting lines.  Descriptions are quoted and
 may contain spaces but not ``"``, ``#`` or a line break.  The parser checks
 shape only; whether an entry balances is the validator's business.
 
+A journal is read as a stream: :func:`iter_journal` yields one entry at a
+time, so posting a journal file never holds its parsed entries as a list
+(the text and its lines are still held whole)::
+
+    ended = post(ledger, iter_journal(text))
+
+:func:`parse_journal` is its list, ``list(iter_journal(text))``.  A syntax
+error is raised when the stream reaches its line; ``post`` applies nothing
+before the stream ends, so posting stays all-or-nothing.
+
 Ledgers are written back in reduced form: that is the canonical on-disk
 representation.
 """
@@ -51,6 +61,7 @@ __all__ = [
     "ParseError",
     "parse_ledger",
     "parse_journal",
+    "iter_journal",
     "render_ledger",
     "render_journal",
 ]
@@ -194,12 +205,16 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
     return ledger
 
 
-def parse_journal(text: str) -> list[JournalEntry]:
-    """Parse a journal file into entries (shape check only)."""
+def iter_journal(text: str) -> Iterator[JournalEntry]:
+    """Parse a journal file lazily, yielding each entry at its ``end`` line
+    (shape check only).
+
+    A syntax error is raised when the parse reaches its line, after every
+    entry before it has been yielded.
+    """
     lines = _logical_lines(text)
     dimension = _parse_header(lines, JOURNAL_MAGIC)
 
-    entries: list[JournalEntry] = []
     description: str | None = None
     postings: list[Posting] = []
     last_line_no = 0
@@ -229,14 +244,18 @@ def parse_journal(text: str) -> list[JournalEntry]:
                 raise ParseError("unexpected tokens after 'end'", line_no)
             if not postings:
                 raise ParseError("entry has no postings", line_no)
-            entries.append(JournalEntry(description, tuple(postings)))
+            yield JournalEntry(description, tuple(postings))
             description = None
             postings = []
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", line_no)
     if description is not None:
         raise ParseError(f"entry {description!r} is missing 'end'", last_line_no)
-    return entries
+
+
+def parse_journal(text: str) -> list[JournalEntry]:
+    """Parse a journal file into a list of entries: ``list(iter_journal(text))``."""
+    return list(iter_journal(text))
 
 
 def _digit_limit_error(account: str) -> LedgerError:

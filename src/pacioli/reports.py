@@ -45,11 +45,14 @@ def _grid(rows: Iterable[Iterable[tuple[int, str]]]) -> str:
 
 
 def render_balance_sheet(eq: BalanceSheetEquation) -> str:
-    """Two lines: term names joined by '=' and '+', values aligned beneath."""
+    """Two lines: term names joined by '=' and '+', values aligned beneath.
+
+    A value past the int/str digit limit raises :class:`LedgerError`.
+    """
     if not eq.terms():
         return "(empty)"
-    lhs = [(name, str(value)) for name, value in eq.lhs] or [("0", "0")]
-    rhs = [(name, str(value)) for name, value in eq.rhs] or [("0", "0")]
+    lhs = [(name, _cell(name, value)) for name, value in eq.lhs] or [("0", "0")]
+    rhs = [(name, _cell(name, value)) for name, value in eq.rhs] or [("0", "0")]
     fields: list[tuple[str | None, str, str]] = []  # (separator, name, value)
     for i, (name, value) in enumerate(lhs):
         fields.append((None if i == 0 else "+", name, value))
@@ -82,6 +85,11 @@ def render_trial_balance(tb: TrialBalance) -> str:
 def render_table_report(
     table: TransactionsTable, sums: TableSums, changes: dict[str, int], ledger: Ledger
 ) -> str:
+    """The grid with its sums, then the net change per account.
+
+    An amount past the int/str digit limit raises :class:`LedgerError`
+    naming its row's account (its column's, for a column sum).
+    """
     names = table.account_names
     last = len(names) + 1
     rows = [enumerate(["Dr.\\Cr.", *names, "(row sum)"])]
@@ -89,19 +97,24 @@ def render_table_report(
         rows.append(
             [
                 (0, name),
-                *((j, str(c)) for j, c in enumerate(table.cells[i], start=1) if c),
-                (last, str(sums.row_sums[i])),
+                *(
+                    (j, _cell(name, c))
+                    for j, c in enumerate(table.cells[i], start=1)
+                    if c
+                ),
+                (last, _cell(name, sums.row_sums[i])),
             ]
         )
-    rows.append(enumerate(["(col sum)", *[str(c) for c in sums.col_sums], ""]))
+    col_sums = [_cell(name, c) for name, c in zip(names, sums.col_sums)]
+    rows.append(enumerate(["(col sum)", *col_sums, ""]))
     change_rows = [
-        enumerate([acc.name, acc.role.value, str(changes[acc.name])])
+        enumerate([acc.name, acc.role.value, _cell(acc.name, changes[acc.name])])
         for acc in ledger.accounts
     ]
     return "\n".join([_grid(rows), "", "net changes:", _grid(change_rows)])
 
 
-def _cell(account: str, value: IntVec) -> str:
+def _cell(account: str, value: IntVec | int) -> str:
     """`value` as text; past the int/str digit limit, a `LedgerError`
     naming `account`."""
     try:

@@ -309,6 +309,25 @@ def test_posting_failure_exit_code(data, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_post_parse_error_outranks_posting_error(data, capsys):
+    # Entry 1 does not balance, and line 8 is malformed: the journal is
+    # posted as it is parsed, yet the syntax error still decides the exit.
+    bad = data / "bad.journal"
+    bad.write_text(
+        'pacioli-journal v1\ndimension 1\n'
+        'entry "broken"\ndr Assets 5\ncr Equity 4\nend\n'
+        'entry "later"\ndr Assets x\ncr Equity 1\nend\n'
+    )
+    out_file = data / "out.ledger"
+    before = sorted(p.name for p in data.iterdir())
+    argv = ["--ledger", data / "scalar.ledger", "--journal", bad, "--out", out_file]
+    assert run("post", *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 8: bad amount 'x' (unsigned integer expected)\n"
+    assert sorted(p.name for p in data.iterdir()) == before
+
+
 def test_zero_denominator_price_is_usage_error(data, capsys):
     assert run("value", "--ledger", data / "scalar.ledger", "--prices", "1/0") == 2
     err = capsys.readouterr().err
@@ -395,6 +414,35 @@ def test_close_past_digit_limit_prints_nothing(data, capsys):
     )
     assert run("close", "--ledger", ledger, "--equity", "Equity") == 1
     assert_digit_limit_error(capsys, "Equity")
+
+
+@support.needs_digit_limit
+def test_value_past_digit_limit_prints_nothing(data, capsys):
+    ledger = write_nines(
+        data / "huge.ledger",
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        "account A dr {nines} // 0\naccount B cr 0 // {nines}\n",
+    )
+    assert run("value", "--ledger", ledger, "--prices", "10") == 1
+    assert_digit_limit_error(capsys, "A")
+
+
+@support.needs_digit_limit
+def test_matrix_past_digit_limit_prints_nothing(data, capsys):
+    # Two transfers from A to B: cell (B, A) holds twice the nines.
+    journal = write_nines(
+        data / "huge.journal",
+        'pacioli-journal v1\ndimension 1\n'
+        'entry "one"\ndr B {nines}\ncr A {nines}\nend\n'
+        'entry "two"\ndr B {nines}\ncr A {nines}\nend\n',
+    )
+    ledger = data / "small.ledger"
+    ledger.write_text(
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        "account A dr 0 // 0\naccount B cr 0 // 0\n"
+    )
+    assert run("matrix", "--ledger", ledger, "--journal", journal) == 1
+    assert_digit_limit_error(capsys, "B")
 
 
 def out_argv(command, data, out_file):
