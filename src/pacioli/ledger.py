@@ -169,7 +169,7 @@ class Ledger(_Book):
 
     def with_balances(self, balances: dict[str, TTerm]) -> "Ledger":
         accounts = tuple(
-            replace(acc, balance=balances.get(acc.name, acc.balance))
+            replace(acc, balance=balances[acc.name]) if acc.name in balances else acc
             for acc in self.accounts
         )
         return replace(self, accounts=accounts)
@@ -260,7 +260,10 @@ class EntryValidation:
             indices = ", ".join(str(i + 1) for i in self.dimension_mismatches)
             parts.append(f"dimension mismatch in posting(s) {indices}")
         if self.residual is not None and not self.residual.is_zero():
-            parts.append(f"unbalanced, residual {self.residual}")
+            try:
+                parts.append(f"unbalanced, residual {self.residual}")
+            except ValueError:
+                parts.append("unbalanced, residual past the int/str digit limit")
         return "; ".join(parts) if parts else "ok"
 
 
@@ -349,6 +352,36 @@ def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
     )
 
 
+def _net(entry: JournalEntry, ledger: Ledger, sums: dict[str, list[int]]) -> bool:
+    """Add `entry`'s postings into `sums`: account name -> debit components,
+    then credit components, from zero, in order of first appearance.
+
+    False, with `sums` partly updated, exactly when `validate_entry` is not
+    ok: an unknown account, a wrong dimension, or debits unequal to credits.
+    """
+    dim = ledger.dimension
+    known = ledger._by_name
+    residual = [0] * dim
+    for posting in entry.postings:
+        amount = posting.amount.components
+        acc = sums.get(posting.account)
+        if acc is None:
+            if posting.account not in known:
+                return False
+            acc = sums[posting.account] = [0] * (2 * dim)
+        if len(amount) != dim:
+            return False
+        if posting.side is Side.DR:
+            for j, c in enumerate(amount):
+                acc[j] += c
+                residual[j] += c
+        else:
+            for j, c in enumerate(amount):
+                acc[dim + j] += c
+                residual[j] -= c
+    return not any(residual)
+
+
 def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
     """Add every entry's zero-terms to the account balances, in order.
 
@@ -356,48 +389,22 @@ def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
     :class:`PostingError` and nothing is applied.  Balances accumulate raw
     debits and credits; reduction is a separate, explicit step.
 
-    One pass on plain ints: each touched account's debit and credit sides
-    accumulate in one int list, each entry's signed residual in another,
-    and each touched balance is built once at the end.  `validate_entry`
-    runs only to report a failure.
+    `_net` nets every entry into one dict for the whole journal; each touched
+    balance is built once at the end, and `validate_entry` runs only on a failure.
     """
     dim = ledger.dimension
     known = ledger._by_name
-    sides: dict[str, list[int]] = {}  # debit components, then credit components
+    sums: dict[str, list[int]] = {}
     for i, entry in enumerate(journal):
-        residual = [0] * dim
-        for posting in entry.postings:
-            amount = posting.amount.components
-            acc = sides.get(posting.account)
-            if acc is None:
-                account = known.get(posting.account)
-                if account is None:
-                    raise PostingError(i, entry, validate_entry(entry, ledger))
-                balance = account.balance
-                acc = sides[posting.account] = [
-                    *balance.debit.components,
-                    *balance.credit.components,
-                ]
-            if len(amount) != dim:
-                raise PostingError(i, entry, validate_entry(entry, ledger))
-            if posting.side is Side.DR:
-                for j, c in enumerate(amount):
-                    acc[j] += c
-                    residual[j] += c
-            else:
-                for j, c in enumerate(amount):
-                    acc[dim + j] += c
-                    residual[j] -= c
-        if any(residual):
+        if not _net(entry, ledger, sums):
             raise PostingError(i, entry, validate_entry(entry, ledger))
-    accounts = []
-    for account in ledger.accounts:
-        acc = sides.get(account.name)
-        if acc is not None:
-            balance = TTerm(NatVec(tuple(acc[:dim])), NatVec(tuple(acc[dim:])))
-            account = replace(account, balance=balance)
-        accounts.append(account)
-    return replace(ledger, accounts=tuple(accounts))
+    balances = {}
+    for name, sides in sums.items():
+        opening = known[name].balance
+        for j, c in enumerate(opening.debit.components + opening.credit.components):
+            sides[j] += c
+        balances[name] = TTerm(NatVec(tuple(sides[:dim])), NatVec(tuple(sides[dim:])))
+    return ledger.with_balances(balances)
 
 
 def trial_balance(ledger: Ledger) -> TrialBalance:

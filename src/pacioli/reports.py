@@ -5,7 +5,7 @@ from typing import Iterable
 
 from .algebra import IntVec, TTerm
 from .fileformat import _digit_limit_error
-from .ledger import BalanceSheetEquation, Ledger, TrialBalance
+from .ledger import BalanceSheetEquation, Ledger, LedgerError, TrialBalance
 from .sss import SignedLedger, SignedRow
 from .table import TableSums, TransactionsTable
 
@@ -70,10 +70,14 @@ def render_balance_sheet(eq: BalanceSheetEquation) -> str:
 
 
 def render_trial_balance(tb: TrialBalance) -> str:
-    lines = [
-        f"debit total:  {tb.debit_total}",
-        f"credit total: {tb.credit_total}",
-    ]
+    """Both totals and the verdict; a total past the int/str digit limit
+    raises :class:`LedgerError` naming it."""
+    lines = []
+    for side, total in (("debit", tb.debit_total), ("credit", tb.credit_total)):
+        try:
+            lines.append(f"{side} total:".ljust(14) + str(total))
+        except ValueError:
+            raise LedgerError(f"{side} total past the int/str digit limit") from None
     if tb.balanced:
         lines.append("BALANCED")
     else:

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .algebra import DimensionMismatch, IntVec
 from .ledger import JournalEntry, Ledger, LedgerError, PostingError, Side, validate_entry
-from .ledger import _Book
+from .ledger import _Book, _net
 
 __all__ = [
     "SignedAccount",
@@ -84,28 +84,20 @@ def journal_to_signed(
     Entries must validate against `ledger`; a failure raises
     :class:`PostingError`.  Every produced row sums to zero.
 
-    Each entry's debits minus credits are netted per account in plain int
-    lists, in order of first appearance, and each change is built as an
-    `IntVec` once.
+    Each entry is netted per account by `_net`, in order of first
+    appearance, and each change, debit minus credit, is built as an
+    `IntVec` once.  `validate_entry` runs only to report a failure.
     """
     dim = ledger.dimension
     rows = []
     for i, entry in enumerate(journal):
-        report = validate_entry(entry, ledger)
-        if not report.ok:
-            raise PostingError(i, entry, report)
-        net: dict[str, list[int]] = {}
-        for posting in entry.postings:
-            change = net.get(posting.account)
-            if change is None:
-                change = net[posting.account] = [0] * dim
-            if posting.side is Side.DR:
-                for j, c in enumerate(posting.amount.components):
-                    change[j] += c
-            else:
-                for j, c in enumerate(posting.amount.components):
-                    change[j] -= c
-        changes = tuple((name, IntVec(tuple(c))) for name, c in net.items())
+        sums: dict[str, list[int]] = {}
+        if not _net(entry, ledger, sums):
+            raise PostingError(i, entry, validate_entry(entry, ledger))
+        changes = tuple(
+            (name, IntVec(tuple(d - c for d, c in zip(sides, sides[dim:]))))
+            for name, sides in sums.items()
+        )
         rows.append(SignedRow(entry.description, changes))
     return rows
 
@@ -119,8 +111,8 @@ def signed_post(ledger: SignedLedger, rows: Iterable[SignedRow]) -> SignedLedger
 
     One pass on plain ints: each touched balance accumulates in an int
     list, each row's sum in another, and each touched ending balance is
-    built once.  Independent of `post` and `validate_entry` by design: the
-    commuting-square tests compare the two systems.
+    built once.  Independent of `post`, `validate_entry` and `_net` by
+    design: the commuting-square tests compare the two systems.
     """
     dim = ledger.dimension
     known = ledger._by_name

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import NatVec, TTerm
-from .ledger import JournalEntry, Ledger, Side, validate_entry
+from .ledger import JournalEntry, Ledger, Side, _net, validate_entry
 
 __all__ = [
     "TableError",
@@ -68,28 +68,24 @@ class TableSums:
 
 
 def _simple_transfer(entry: JournalEntry, ledger: Ledger) -> tuple[str, str, int]:
-    """Return (debit account, credit account, amount) or raise TableError."""
-    report = validate_entry(entry, ledger)
-    if not report.ok:
+    """Return (debit account, credit account, amount) or raise TableError.
+
+    The accounts with a nonzero debit (credit) sum from `_net` are the
+    debited (credited) ones; the amount is the debited account's debit sum.
+    """
+    sums: dict[str, list[int]] = {}
+    if not _net(entry, ledger, sums):
+        report = validate_entry(entry, ledger)
         raise TableError(f"entry {entry.description!r}: {report.problems()}")
-    dr_total = 0
-    dr_accounts = []
-    cr_accounts = []
-    for p in entry.postings:
-        if p.amount.is_zero():
-            continue
-        accounts = dr_accounts if p.side is Side.DR else cr_accounts
-        if p.account not in accounts:
-            accounts.append(p.account)
-        if p.side is Side.DR:
-            dr_total += p.amount[0]
+    dr_accounts = [name for name, (debit, _) in sums.items() if debit]
+    cr_accounts = [name for name, (_, credit) in sums.items() if credit]
     if len(dr_accounts) != 1 or len(cr_accounts) != 1:
         raise TableError(
             f"entry {entry.description!r} debits {len(dr_accounts)} and credits "
             f"{len(cr_accounts)} account(s); split it into simple transfers of "
             "one debited and one credited account"
         )
-    return dr_accounts[0], cr_accounts[0], dr_total
+    return dr_accounts[0], cr_accounts[0], sums[dr_accounts[0]][0]
 
 
 def build_table(journal: Iterable[JournalEntry], ledger: Ledger) -> TransactionsTable:

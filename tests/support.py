@@ -8,6 +8,7 @@ deterministic.
 """
 
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from pacioli import (
     Side,
     SignedLedger,
     SignedRow,
+    TableError,
+    TransactionsTable,
     TTerm,
     validate_entry,
 )
@@ -161,6 +164,57 @@ def reference_total(vectors, dimension: int) -> IntVec:
     for v in vectors:
         result = result + v
     return result
+
+
+# --- reference transactions table: validate, then scan the postings ---
+#
+# The table path as first written, kept as an oracle for the library's
+# version that nets each entry per account: every entry gets a full
+# `validate_entry` report, and the debited and credited accounts are those
+# with a nonzero posting on that side.
+
+
+def reference_simple_transfer(entry: JournalEntry, ledger: Ledger) -> tuple[str, str, int]:
+    report = validate_entry(entry, ledger)
+    if not report.ok:
+        raise TableError(f"entry {entry.description!r}: {report.problems()}")
+    dr_total = 0
+    dr_accounts = []
+    cr_accounts = []
+    for p in entry.postings:
+        if p.amount.is_zero():
+            continue
+        accounts = dr_accounts if p.side is Side.DR else cr_accounts
+        if p.account not in accounts:
+            accounts.append(p.account)
+        if p.side is Side.DR:
+            dr_total += p.amount[0]
+    if len(dr_accounts) != 1 or len(cr_accounts) != 1:
+        raise TableError(
+            f"entry {entry.description!r} debits {len(dr_accounts)} and credits "
+            f"{len(cr_accounts)} account(s); split it into simple transfers of "
+            "one debited and one credited account"
+        )
+    return dr_accounts[0], cr_accounts[0], dr_total
+
+
+def reference_build_table(journal, ledger: Ledger) -> TransactionsTable:
+    if ledger.dimension != 1:
+        raise TableError(
+            f"transactions table is scalar only; ledger has dimension {ledger.dimension}"
+        )
+    names = ledger.names()
+    index = {name: i for i, name in enumerate(names)}
+    cells = [[0] * len(names) for _ in names]
+    for entry in journal:
+        debited, credited, amount = reference_simple_transfer(entry, ledger)
+        if debited == credited:
+            warnings.warn(
+                f"entry {entry.description!r} debits and credits {debited!r}; "
+                "amount lands on the table diagonal"
+            )
+        cells[index[debited]][index[credited]] += amount
+    return TransactionsTable(names, tuple(tuple(row) for row in cells))
 
 
 # --- reference reports: dense rows, every cell padded ---

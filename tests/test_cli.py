@@ -445,6 +445,64 @@ def test_matrix_past_digit_limit_prints_nothing(data, capsys):
     assert_digit_limit_error(capsys, "B")
 
 
+@support.needs_digit_limit
+def test_trial_balance_past_digit_limit_names_total(data, capsys):
+    ledger = write_nines(
+        data / "huge.ledger",
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        "account X dr {nines} // 0\naccount Y dr {nines} // 0\n"
+        "account Z cr 0 // {nines}\naccount W cr 0 // {nines}\n",
+    )
+    assert run("trial-balance", "--ledger", ledger) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "debit total" in err and "digit limit" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def residual_past_digit_limit(data):
+    """--ledger and --journal arguments of one entry "big" whose two debits
+    of A sum one digit past the limit, against a zero credit: its residual
+    cannot be written as text."""
+    ledger = data / "small.ledger"
+    ledger.write_text(
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        "account A dr 0 // 0\naccount B cr 0 // 0\n"
+    )
+    journal = write_nines(
+        data / "huge.journal",
+        'pacioli-journal v1\ndimension 1\n'
+        'entry "big"\ndr A {nines}\ndr A {nines}\ncr B 0\nend\n',
+    )
+    return ["--ledger", ledger, "--journal", journal]
+
+
+@support.needs_digit_limit
+def test_validate_residual_past_digit_limit_names_entry(
+    residual_past_digit_limit, capsys
+):
+    assert run("validate", *residual_past_digit_limit) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        'entry 1 "big": INVALID (unbalanced, residual past the int/str digit limit)',
+        "1 of 1 entries invalid",
+    ]
+    assert err == ""
+
+
+@support.needs_digit_limit
+@pytest.mark.parametrize("command", ["post", "sss", "matrix"])
+def test_residual_past_digit_limit_names_entry(
+    residual_past_digit_limit, command, capsys
+):
+    assert run(command, *residual_past_digit_limit) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    entry = "entry 'big'" if command == "matrix" else "entry 1 ('big')"
+    assert err == f"error: {entry}: unbalanced, residual past the int/str digit limit\n"
+
+
 def out_argv(command, data, out_file):
     extra = {"post": ["--journal", data / "scalar.journal"], "close": ["--equity", "Equity"]}
     return [command, "--ledger", data / "scalar.ledger", *extra[command], "--out", out_file]

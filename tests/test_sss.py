@@ -167,3 +167,31 @@ def test_credit_convention_is_negation(vector_ledger):
         acc.balance.credit_balance() for acc in vector_ledger.accounts
     )
     assert credit_view == tuple(-b for b in signed.balances())
+
+
+def test_signed_post_routes_through_no_double_entry_code(
+    monkeypatch, scalar_ledger, scalar_journal, vector_ledger, vector_journal
+):
+    """The deliberate redundancy: with `post`, `validate_entry` and `_net`
+    made to raise wherever `ledger` and `sss` look them up, `signed_post`
+    gives the same ending, so the commuting square compares two
+    independent implementations."""
+    import pacioli.ledger
+    import pacioli.sss
+
+    cases = []
+    for ledger, journal in (
+        (scalar_ledger, scalar_journal),
+        (vector_ledger, vector_journal),
+    ):
+        signed, rows = to_signed(ledger), journal_to_signed(journal, ledger)
+        cases.append((signed, rows, signed_post(signed, rows)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("signed_post reached the double-entry path")
+
+    for module in (pacioli.ledger, pacioli.sss):
+        for name in ("post", "validate_entry", "_net"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for signed, rows, expected in cases:
+        assert signed_post(signed, rows) == expected

@@ -1,8 +1,11 @@
 """The scalar transactions-table view."""
 
 import random
+import warnings
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import support
 from pacioli import (
@@ -174,3 +177,40 @@ def test_table_pipeline_matches_posting():
         for name, value in decoded.terms():
             start = ledger.account(name).signed_balance()[0]
             assert start + changes[name] == value[0]
+
+
+@st.composite
+def table_entries(draw, ledger):
+    """A simple transfer (half the time), a self-transfer, any valid entry
+    (compound ones and zero-amount postings included) or a broken one (an
+    unknown account, a wrong dimension or unbalanced)."""
+    kind = draw(st.sampled_from(("transfer", "transfer", "self", "valid", "invalid")))
+    if kind == "valid":
+        return draw(support.valid_entries(ledger))
+    if kind == "invalid":
+        return draw(support.invalid_entries(ledger))
+    names = ledger.names()
+    debited = draw(st.sampled_from(names))
+    credited = debited if kind == "self" else draw(st.sampled_from(names))
+    amount = draw(st.integers(0, 50))
+    return transfer(draw(st.text("ab ", max_size=3)), debited, credited, amount)
+
+
+def table_outcome(build, journal, ledger):
+    """The cells or the `TableError` of `build`, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build(journal, ledger).cells
+        except TableError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@given(st.data())
+def test_build_table_matches_reference(data):
+    ledger = data.draw(support.ledgers(max_dim=1))
+    journal = data.draw(st.lists(table_entries(ledger), max_size=6))
+    assert table_outcome(build_table, journal, ledger) == table_outcome(
+        support.reference_build_table, journal, ledger
+    )
