@@ -23,6 +23,7 @@ exit status 2 on the command line.
 """
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Iterator
 
 __all__ = ["DimensionMismatch", "NatVec", "IntVec", "TTerm"]
@@ -151,13 +152,22 @@ class IntVec(_Vec):
         ``pos.is_disjoint(neg)``; the pair is the unique one with both
         properties.
         """
-        pos = NatVec(tuple(max(c, 0) for c in self.components))
-        neg = NatVec(tuple(-min(c, 0) for c in self.components))
+        pos = NatVec(tuple([c if c > 0 else 0 for c in self.components]))
+        neg = NatVec(tuple([-c if c < 0 else 0 for c in self.components]))
         return pos, neg
 
     def to_unsigned(self) -> NatVec:
         """Reinterpret as unsigned; raises if any component is negative."""
         return NatVec(self.components)
+
+
+def _reduce(debit: tuple[int, ...], credit: tuple[int, ...]):
+    """The sides of the reduced ``[debit // credit]``: both minus their
+    componentwise minimum, or the same tuples when that minimum is zero."""
+    m = tuple(map(min, debit, credit))
+    if not any(m):
+        return debit, credit
+    return tuple(map(sub, debit, m)), tuple(map(sub, credit, m))
 
 
 @dataclass(frozen=True)
@@ -218,24 +228,24 @@ class TTerm:
         return self.debit.is_disjoint(self.credit)
 
     def reduced(self) -> "TTerm":
-        """The unique equivalent T-term with disjoint sides.
+        """The unique equivalent T-term with disjoint sides; `self` when the
+        sides are already disjoint.
 
         Subtracts the componentwise minimum from both sides; this is the
-        only subtraction in the whole system, and it cannot go negative.
+        only subtraction on unsigned vectors, and it cannot go negative.
         """
-        m = self.debit.minimum(self.credit)
-        return TTerm(
-            NatVec(tuple(a - b for a, b in zip(self.debit, m))),
-            NatVec(tuple(a - b for a, b in zip(self.credit, m))),
-        )
+        debit, credit = _reduce(self.debit.components, self.credit.components)
+        if debit is self.debit.components:
+            return self
+        return TTerm(NatVec(debit), NatVec(credit))
 
     def debit_balance(self) -> IntVec:
         """Signed value under the debit reading: debit - credit."""
-        return self.debit.to_signed() - self.credit.to_signed()
+        return IntVec(tuple(map(sub, self.debit.components, self.credit.components)))
 
     def credit_balance(self) -> IntVec:
         """Signed value under the credit reading: credit - debit."""
-        return self.credit.to_signed() - self.debit.to_signed()
+        return IntVec(tuple(map(sub, self.credit.components, self.debit.components)))
 
     def __str__(self) -> str:
         return f"[{self.debit} // {self.credit}]"

@@ -11,7 +11,6 @@ from fractions import Fraction as Rational
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import DimensionMismatch
 from .fileformat import (
     ParseError,
     iter_journal,
@@ -21,7 +20,6 @@ from .fileformat import (
     render_ledger,
 )
 from .ledger import (
-    LedgerError,
     PostingError,
     close_nominal,
     decode_equation,
@@ -36,7 +34,7 @@ from .reports import (
     render_trial_balance,
 )
 from .sss import journal_to_signed, signed_post, to_signed
-from .table import TableError, build_table, net_changes, table_sums
+from .table import build_table, net_changes, table_sums
 from .valuation import PriceVector, value_ledger
 
 __all__ = ["build_parser", "run_command", "main"]
@@ -244,7 +242,7 @@ def run_command(argv: Sequence[str]) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LedgerError, TableError, DimensionMismatch, ValueError) as exc:
+    except ValueError as exc:  # LedgerError, TableError, DimensionMismatch, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,9 +49,9 @@ representation.
 
 import re
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .algebra import NatVec, TTerm
+from .algebra import NatVec, TTerm, _reduce
 from .ledger import Account, JournalEntry, Ledger, LedgerError, Posting, Side
 from .ledger import _check_name
 
@@ -267,8 +267,8 @@ def _digit_limit_error(account: str) -> LedgerError:
     )
 
 
-def _render_amounts(vec: NatVec) -> str:
-    return " ".join(str(c) for c in vec)
+def _render_amounts(components: Iterable[int]) -> str:
+    return " ".join(map(str, components))
 
 
 def render_ledger(ledger: Ledger, *, reduced: bool = True) -> str:
@@ -279,11 +279,13 @@ def render_ledger(ledger: Ledger, *, reduced: bool = True) -> str:
     out = [LEDGER_MAGIC, f"dimension {ledger.dimension}"]
     out.append("units " + " ".join(ledger.unit_names))
     for acc in ledger.accounts:
-        balance = acc.balance.reduced() if reduced else acc.balance
+        debit, credit = acc.balance.debit.components, acc.balance.credit.components
+        if reduced:
+            debit, credit = _reduce(debit, credit)
         nominal = " nominal" if acc.nominal else ""
         try:
-            debit = _render_amounts(balance.debit)
-            credit = _render_amounts(balance.credit)
+            debit = _render_amounts(debit)
+            credit = _render_amounts(credit)
         except ValueError:
             raise _digit_limit_error(acc.name) from None
         out.append(f"account {acc.name} {acc.role.value}{nominal} {debit} // {credit}")

@@ -12,7 +12,7 @@ representative, the form `render_ledger` writes.
 Ledgers are immutable: `post` and friends return new values.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -169,10 +169,12 @@ class Ledger(_Book):
 
     def with_balances(self, balances: dict[str, TTerm]) -> "Ledger":
         accounts = tuple(
-            replace(acc, balance=balances[acc.name]) if acc.name in balances else acc
+            Account(acc.name, acc.role, balances[acc.name], acc.nominal)
+            if acc.name in balances
+            else acc
             for acc in self.accounts
         )
-        return replace(self, accounts=accounts)
+        return Ledger(self.dimension, self.unit_names, accounts)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ with posting.
 
 from dataclasses import dataclass
 from fractions import Fraction as Rational
+from math import lcm
+from operator import mul
 from typing import Union
 
 from .algebra import DimensionMismatch, IntVec, NatVec
-from .ledger import Account, Ledger
+from .ledger import Account, Ledger, Side
 
 __all__ = ["PriceVector", "dot_value", "value_ledger"]
 
@@ -67,13 +69,21 @@ def value_ledger(
             f"dimension mismatch: {prices.dimension} prices vs "
             f"ledger dimension {ledger.dimension}"
         )
+    # Integer weights over the prices' common denominator: an account's
+    # value is its signed balance dotted with `weights`, over `scale`.
+    scale = lcm(*(p.denominator for p in prices.prices))
+    weights = [p.numerator * (scale // p.denominator) for p in prices.prices]
     accounts = []
     for acc in ledger.accounts:
-        value = dot_value(prices, acc.signed_balance())
-        if value.denominator != 1:
+        d, c = acc.balance.debit.components, acc.balance.credit.components
+        scaled = sum(map(mul, weights, d)) - sum(map(mul, weights, c))
+        if acc.role is Side.CR:
+            scaled = -scaled
+        value, remainder = divmod(scaled, scale)
+        if remainder:
             raise ValueError(
-                f"account {acc.name!r} values to non-integer {value}"
+                f"account {acc.name!r} values to non-integer {Rational(scaled, scale)}"
             )
-        scalar = IntVec.of(int(value))
+        scalar = IntVec((value,))
         accounts.append(Account.from_signed(acc.name, acc.role, scalar, acc.nominal))
     return Ledger(1, (unit_name,), tuple(accounts))

@@ -16,6 +16,7 @@ import hypothesis.strategies as st
 import pytest
 
 from pacioli import (
+    LEDGER_MAGIC,
     Account,
     DimensionMismatch,
     EntryValidation,
@@ -26,14 +27,17 @@ from pacioli import (
     NatVec,
     Posting,
     PostingError,
+    PriceVector,
     Side,
     SignedLedger,
     SignedRow,
     TableError,
     TransactionsTable,
     TTerm,
+    dot_value,
     validate_entry,
 )
+from pacioli.fileformat import _digit_limit_error
 
 DATA = Path(__file__).parent / "data"
 
@@ -215,6 +219,74 @@ def reference_build_table(journal, ledger: Ledger) -> TransactionsTable:
             )
         cells[index[debited]][index[credited]] += amount
     return TransactionsTable(names, tuple(tuple(row) for row in cells))
+
+
+# --- reference ledger-wide kernels: one vector object per step ---
+#
+# Reduction, decoding, the Jordan split, ledger rendering and valuation as
+# first written, kept as oracles for the library's plain-int versions: each
+# step builds whole `NatVec`/`IntVec`/`TTerm` values, and valuation dots in
+# `Fraction` arithmetic.
+
+
+def reference_reduced(term: TTerm) -> TTerm:
+    m = term.debit.minimum(term.credit)
+    return TTerm(
+        NatVec(tuple(a - b for a, b in zip(term.debit, m))),
+        NatVec(tuple(a - b for a, b in zip(term.credit, m))),
+    )
+
+
+def reference_debit_balance(term: TTerm) -> IntVec:
+    return term.debit.to_signed() - term.credit.to_signed()
+
+
+def reference_credit_balance(term: TTerm) -> IntVec:
+    return term.credit.to_signed() - term.debit.to_signed()
+
+
+def reference_jordan(value: IntVec) -> tuple[NatVec, NatVec]:
+    pos = NatVec(tuple(max(c, 0) for c in value.components))
+    neg = NatVec(tuple(-min(c, 0) for c in value.components))
+    return pos, neg
+
+
+def reference_render_ledger(ledger: Ledger, *, reduced: bool = True) -> str:
+    out = [LEDGER_MAGIC, f"dimension {ledger.dimension}"]
+    out.append("units " + " ".join(ledger.unit_names))
+    for acc in ledger.accounts:
+        balance = reference_reduced(acc.balance) if reduced else acc.balance
+        nominal = " nominal" if acc.nominal else ""
+        try:
+            debit = " ".join(str(c) for c in balance.debit)
+            credit = " ".join(str(c) for c in balance.credit)
+        except ValueError:
+            raise _digit_limit_error(acc.name) from None
+        out.append(f"account {acc.name} {acc.role.value}{nominal} {debit} // {credit}")
+    return "\n".join(out) + "\n"
+
+
+def reference_value_ledger(
+    ledger: Ledger, prices: PriceVector, unit_name: str = "value"
+) -> Ledger:
+    if prices.dimension != ledger.dimension:
+        raise DimensionMismatch(
+            f"dimension mismatch: {prices.dimension} prices vs "
+            f"ledger dimension {ledger.dimension}"
+        )
+    accounts = []
+    for acc in ledger.accounts:
+        if acc.role is Side.DR:
+            signed = reference_debit_balance(acc.balance)
+        else:
+            signed = reference_credit_balance(acc.balance)
+        value = dot_value(prices, signed)
+        if value.denominator != 1:
+            raise ValueError(f"account {acc.name!r} values to non-integer {value}")
+        pos, neg = reference_jordan(IntVec.of(int(value)))
+        balance = TTerm(pos, neg) if acc.role is Side.DR else TTerm(neg, pos)
+        accounts.append(Account(acc.name, acc.role, balance, acc.nominal))
+    return Ledger(1, (unit_name,), tuple(accounts))
 
 
 # --- reference reports: dense rows, every cell padded ---

@@ -2,7 +2,9 @@
 
 import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import support
 from pacioli import (
@@ -25,6 +27,8 @@ from pacioli import (
 )
 
 nv = NatVec.of
+# Digits in the largest amount a file may hold.
+DIGITS = support.DIGIT_LIMIT or 60
 
 SCALAR_LEDGER = (support.DATA / "scalar.ledger").read_text()
 SCALAR_JOURNAL = (support.DATA / "scalar.journal").read_text()
@@ -342,3 +346,39 @@ def test_render_rejects_amounts_past_the_digit_limit():
     entry = JournalEntry("big", (Posting("B", Side.DR, big),))
     with pytest.raises(LedgerError, match="account 'B': .* digit limit"):
         render_journal([entry], dimension=1)
+
+
+def is_name(text: str) -> bool:
+    try:
+        Ledger(1, (text,), (Account(text, Side.DR, TTerm.zero(1)),))
+    except LedgerError:
+        return False
+    return True
+
+
+@st.composite
+def renamed_ledgers(draw):
+    """`support.ledgers` with magnitudes up to the largest amount a file may
+    hold, and any valid account and unit names."""
+    ledger = draw(st.one_of(support.ledgers(), support.ledgers(limit=10**DIGITS - 1)))
+    names = st.text(min_size=1, max_size=6).filter(is_name)
+    n, dim = len(ledger.accounts), ledger.dimension
+    accounts = draw(st.lists(names, min_size=n, max_size=n, unique=True))
+    units = draw(st.lists(names, min_size=dim, max_size=dim, unique=True))
+    return Ledger(
+        dim,
+        tuple(units),
+        tuple(
+            Account(name, acc.role, acc.balance, acc.nominal)
+            for name, acc in zip(accounts, ledger.accounts)
+        ),
+    )
+
+
+@given(renamed_ledgers(), st.booleans())
+def test_ledger_round_trip_property(ledger, reduced):
+    """Raw rendering parses back to the same ledger, reduced rendering to
+    its reduced form, nominal flags and dimensions included."""
+    text = render_ledger(ledger, reduced=reduced)
+    expected = reduce_ledger(ledger) if reduced else ledger
+    assert parse_ledger(text, require_balanced=False) == expected
