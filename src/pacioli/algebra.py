@@ -16,10 +16,10 @@ lands on one side or the other of a T-term.
 
 Everything here is immutable and pure; dimensions are checked on every
 binary operation.  Components are plain Python ints, so in memory
-magnitudes are unbounded and no overflow handling is needed.  File I/O is
+magnitudes are unbounded and no overflow handling is needed.  Text is
 bounded by the interpreter's int/str digit limit (4300 digits by default,
-see ``sys.get_int_max_str_digits``): a longer amount is a parse error,
-exit status 2 on the command line.
+see ``sys.get_int_max_str_digits``): a longer amount in a file is a parse
+error, and ``ledger._text`` refuses to write or print a longer number.
 """
 
 from dataclasses import dataclass

@@ -27,7 +27,8 @@ Journal file::
 
 Amounts and the dimension may not exceed the interpreter's int/str digit
 limit (4300 digits by default, see ``sys.get_int_max_str_digits``); a
-longer number is a :class:`ParseError` with its line number.
+longer number is a :class:`ParseError` with its line number.  A sum grown
+past it is not written: ``ledger._text`` raises a :class:`LedgerError`.
 
 Each entry holds one or more posting lines.  Descriptions are quoted and
 may contain spaces but not ``"``, ``#`` or a line break.  The parser checks
@@ -48,12 +49,11 @@ representation.
 """
 
 import re
-import sys
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .algebra import NatVec, TTerm, _reduce
 from .ledger import Account, JournalEntry, Ledger, LedgerError, Posting, Side
-from .ledger import _check_name
+from .ledger import _AMOUNT, _PAST_LIMIT, _check_name, _residual_text, _text
 
 __all__ = [
     "LEDGER_MAGIC",
@@ -105,8 +105,8 @@ def _ints(tokens: list[str], line_no: int) -> tuple[int, ...]:
     int/str digit limit is a parse error."""
     try:
         return tuple(map(int, tokens))
-    except ValueError as exc:
-        raise ParseError(f"number too long: {exc}", line_no) from None
+    except ValueError:
+        raise ParseError(f"number too long: {_PAST_LIMIT}", line_no) from None
 
 
 def _parse_amounts(tokens: list[str], n: int, line_no: int) -> NatVec:
@@ -156,8 +156,6 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
         if tokens[0] == "units":
             if unit_names is not None:
                 raise ParseError("duplicate 'units' line", line_no)
-            if accounts:
-                raise ParseError("'units' must precede accounts", line_no)
             if len(tokens) - 1 != dimension:
                 raise ParseError(
                     f"expected {dimension} unit name(s), got {len(tokens) - 1}", line_no
@@ -199,9 +197,8 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
     except (LedgerError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
     if require_balanced and not ledger.is_balanced():
-        raise ParseError(
-            f"ledger does not encode a zero-account; residual {ledger.total()}"
-        )
+        residual = _residual_text(ledger.total())
+        raise ParseError(f"ledger does not encode a zero-account; {residual}")
     return ledger
 
 
@@ -258,17 +255,8 @@ def parse_journal(text: str) -> list[JournalEntry]:
     return list(iter_journal(text))
 
 
-def _digit_limit_error(account: str) -> LedgerError:
-    """The error for an amount of `account`, grown in memory, that is past
-    the int/str digit limit bounding every number written."""
-    return LedgerError(
-        f"account {account!r}: an amount has more digits than the int/str "
-        f"digit limit ({sys.get_int_max_str_digits()}) allows in a file"
-    )
-
-
-def _render_amounts(components: Iterable[int]) -> str:
-    return " ".join(map(str, components))
+# The `render` of `_text` for an amount: its components, space separated.
+_spaced = " ".join
 
 
 def render_ledger(ledger: Ledger, *, reduced: bool = True) -> str:
@@ -282,13 +270,10 @@ def render_ledger(ledger: Ledger, *, reduced: bool = True) -> str:
         debit, credit = acc.balance.debit.components, acc.balance.credit.components
         if reduced:
             debit, credit = _reduce(debit, credit)
-        nominal = " nominal" if acc.nominal else ""
-        try:
-            debit = _render_amounts(debit)
-            credit = _render_amounts(credit)
-        except ValueError:
-            raise _digit_limit_error(acc.name) from None
-        out.append(f"account {acc.name} {acc.role.value}{nominal} {debit} // {credit}")
+        name, nominal = acc.name, " nominal" if acc.nominal else ""
+        debit = _text(map(str, debit), _AMOUNT, name, _spaced)
+        credit = _text(map(str, credit), _AMOUNT, name, _spaced)
+        out.append(f"account {name} {acc.role.value}{nominal} {debit} // {credit}")
     return "\n".join(out) + "\n"
 
 
@@ -311,10 +296,7 @@ def render_journal(entries, dimension: int) -> str:
                     f"posting to {p.account!r} has dimension "
                     f"{p.amount.dimension}, journal has {dimension}"
                 )
-            try:
-                amounts = _render_amounts(p.amount)
-            except ValueError:
-                raise _digit_limit_error(p.account) from None
+            amounts = _text(map(str, p.amount), _AMOUNT, p.account, _spaced)
             out.append(f"{p.side.value} {p.account} {amounts}")
         out.append("end")
     return "\n".join(out) + "\n"

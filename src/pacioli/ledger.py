@@ -44,6 +44,27 @@ class LedgerError(ValueError):
     """A ledger or journal violates a structural requirement."""
 
 
+# In memory a number is unbounded, but past the interpreter's int/str digit
+# limit it has no decimal text: no file, report or message can hold it.
+_PAST_LIMIT = "past the int/str digit limit"
+# The owner of an account's amount, for `_text`.
+_AMOUNT = "account %r: an amount"
+
+
+def _text(value, owner: str, arg=(), render=str) -> str:
+    """``render(value)``, by default ``str(value)``: the one format step for
+    every number written or printed.
+
+    A number past the digit limit raises the one `LedgerError` "<owner> past
+    the int/str digit limit"; the owner is ``owner % arg``, formatted only on
+    that path.  (Positional arguments: this runs once per printed cell.)
+    """
+    try:
+        return render(value)
+    except ValueError:
+        raise LedgerError(f"{owner % arg} {_PAST_LIMIT}") from None
+
+
 class Side(Enum):
     """Debit/credit marker, used both as an account's balance side and as a
     posting's side."""
@@ -262,11 +283,16 @@ class EntryValidation:
             indices = ", ".join(str(i + 1) for i in self.dimension_mismatches)
             parts.append(f"dimension mismatch in posting(s) {indices}")
         if self.residual is not None and not self.residual.is_zero():
-            try:
-                parts.append(f"unbalanced, residual {self.residual}")
-            except ValueError:
-                parts.append("unbalanced, residual past the int/str digit limit")
+            parts.append("unbalanced, " + _residual_text(self.residual))
         return "; ".join(parts) if parts else "ok"
+
+
+def _residual_text(residual: TTerm) -> str:
+    """The words "residual [d // c]", or past the limit those of `_text`'s error."""
+    try:
+        return "residual " + _text(residual, "residual")
+    except LedgerError as exc:
+        return str(exc)
 
 
 class PostingError(LedgerError):

@@ -1,11 +1,11 @@
 """Plain-text rendering of balance sheets, trial balances, grids, and
-signed-ledger views."""
+signed-ledger views.  A number past the int/str digit limit raises the
+:class:`LedgerError` of ``ledger._text``, naming its account or total."""
 
 from typing import Iterable
 
-from .algebra import IntVec, TTerm
-from .fileformat import _digit_limit_error
-from .ledger import BalanceSheetEquation, Ledger, LedgerError, TrialBalance
+from .algebra import TTerm
+from .ledger import _AMOUNT, BalanceSheetEquation, Ledger, TrialBalance, _text
 from .sss import SignedLedger, SignedRow
 from .table import TableSums, TransactionsTable
 
@@ -45,14 +45,11 @@ def _grid(rows: Iterable[Iterable[tuple[int, str]]]) -> str:
 
 
 def render_balance_sheet(eq: BalanceSheetEquation) -> str:
-    """Two lines: term names joined by '=' and '+', values aligned beneath.
-
-    A value past the int/str digit limit raises :class:`LedgerError`.
-    """
+    """Two lines: term names joined by '=' and '+', values aligned beneath."""
     if not eq.terms():
         return "(empty)"
-    lhs = [(name, _cell(name, value)) for name, value in eq.lhs] or [("0", "0")]
-    rhs = [(name, _cell(name, value)) for name, value in eq.rhs] or [("0", "0")]
+    lhs = [(name, _text(v, _AMOUNT, name)) for name, v in eq.lhs] or [("0", "0")]
+    rhs = [(name, _text(v, _AMOUNT, name)) for name, v in eq.rhs] or [("0", "0")]
     fields: list[tuple[str | None, str, str]] = []  # (separator, name, value)
     for i, (name, value) in enumerate(lhs):
         fields.append((None if i == 0 else "+", name, value))
@@ -70,14 +67,11 @@ def render_balance_sheet(eq: BalanceSheetEquation) -> str:
 
 
 def render_trial_balance(tb: TrialBalance) -> str:
-    """Both totals and the verdict; a total past the int/str digit limit
-    raises :class:`LedgerError` naming it."""
-    lines = []
-    for side, total in (("debit", tb.debit_total), ("credit", tb.credit_total)):
-        try:
-            lines.append(f"{side} total:".ljust(14) + str(total))
-        except ValueError:
-            raise LedgerError(f"{side} total past the int/str digit limit") from None
+    """Both totals and the verdict."""
+    lines = [
+        f"{side} total:".ljust(14) + _text(total, "%s total", side)
+        for side, total in (("debit", tb.debit_total), ("credit", tb.credit_total))
+    ]
     if tb.balanced:
         lines.append("BALANCED")
     else:
@@ -89,11 +83,9 @@ def render_trial_balance(tb: TrialBalance) -> str:
 def render_table_report(
     table: TransactionsTable, sums: TableSums, changes: dict[str, int], ledger: Ledger
 ) -> str:
-    """The grid with its sums, then the net change per account.
-
-    An amount past the int/str digit limit raises :class:`LedgerError`
-    naming its row's account (its column's, for a column sum).
-    """
+    """The grid with its sums, then the net change per account.  A number
+    past the digit limit names its row's account (its column's, for a
+    column sum)."""
     names = table.account_names
     last = len(names) + 1
     rows = [enumerate(["Dr.\\Cr.", *names, "(row sum)"])]
@@ -102,33 +94,24 @@ def render_table_report(
             [
                 (0, name),
                 *(
-                    (j, _cell(name, c))
+                    (j, _text(c, _AMOUNT, name))
                     for j, c in enumerate(table.cells[i], start=1)
                     if c
                 ),
-                (last, _cell(name, sums.row_sums[i])),
+                (last, _text(sums.row_sums[i], _AMOUNT, name)),
             ]
         )
-    col_sums = [_cell(name, c) for name, c in zip(names, sums.col_sums)]
+    col_sums = [_text(c, _AMOUNT, name) for name, c in zip(names, sums.col_sums)]
     rows.append(enumerate(["(col sum)", *col_sums, ""]))
     change_rows = [
-        enumerate([acc.name, acc.role.value, _cell(acc.name, changes[acc.name])])
+        enumerate([acc.name, acc.role.value, _text(changes[acc.name], _AMOUNT, acc.name)])
         for acc in ledger.accounts
     ]
     return "\n".join([_grid(rows), "", "net changes:", _grid(change_rows)])
 
 
-def _cell(account: str, value: IntVec | int) -> str:
-    """`value` as text; past the int/str digit limit, a `LedgerError`
-    naming `account`."""
-    try:
-        return str(value)
-    except ValueError:
-        raise _digit_limit_error(account) from None
-
-
 def _balance_row(label: str, ledger: SignedLedger):
-    cells = [_cell(acc.name, acc.balance) for acc in ledger.accounts]
+    cells = [_text(acc.balance, _AMOUNT, acc.name) for acc in ledger.accounts]
     return enumerate([label, *cells])
 
 
@@ -141,8 +124,7 @@ def render_signed_report(
 
     A transaction row shows only the accounts it changes, the last change
     where it names one twice; a change to an account not in `ledger` is not
-    shown.  A balance or change past the int/str digit limit raises
-    :class:`LedgerError`.
+    shown.
     """
     column = {name: i for i, name in enumerate(ledger.names(), start=1)}
     grid = [enumerate(["", *column]), _balance_row("beginning", ledger)]
@@ -153,7 +135,7 @@ def render_signed_report(
                 [
                     (0, f"{i}. {row.description}"),
                     *(
-                        (column[name], _cell(name, change))
+                        (column[name], _text(change, _AMOUNT, name))
                         for name, change in row.changes
                         if name in column
                     ),

@@ -14,7 +14,7 @@ from operator import mul
 from typing import Union
 
 from .algebra import DimensionMismatch, IntVec, NatVec
-from .ledger import Account, Ledger, Side
+from .ledger import Account, Ledger, Side, _text
 
 __all__ = ["PriceVector", "dot_value", "value_ledger"]
 
@@ -29,9 +29,9 @@ class PriceVector:
         prices = tuple(Rational(p) for p in self.prices)
         if not prices:
             raise ValueError("a price vector needs at least one price")
-        for p in prices:
+        for i, p in enumerate(prices, start=1):
             if p < 0:
-                raise ValueError(f"negative price {p}")
+                raise ValueError("negative price " + _text(p, "price %d (negative)", i))
         object.__setattr__(self, "prices", prices)
 
     @classmethod
@@ -81,9 +81,9 @@ def value_ledger(
             scaled = -scaled
         value, remainder = divmod(scaled, scale)
         if remainder:
-            raise ValueError(
-                f"account {acc.name!r} values to non-integer {Rational(scaled, scale)}"
-            )
+            owner = "account %r: a non-integer value"
+            text = _text(Rational(scaled, scale), owner, acc.name)
+            raise ValueError(f"account {acc.name!r} values to non-integer {text}")
         scalar = IntVec((value,))
         accounts.append(Account.from_signed(acc.name, acc.role, scalar, acc.nominal))
     return Ledger(1, (unit_name,), tuple(accounts))

@@ -37,7 +37,6 @@ from pacioli import (
     dot_value,
     validate_entry,
 )
-from pacioli.fileformat import _digit_limit_error
 
 DATA = Path(__file__).parent / "data"
 
@@ -261,7 +260,9 @@ def reference_render_ledger(ledger: Ledger, *, reduced: bool = True) -> str:
             debit = " ".join(str(c) for c in balance.debit)
             credit = " ".join(str(c) for c in balance.credit)
         except ValueError:
-            raise _digit_limit_error(acc.name) from None
+            raise LedgerError(
+                f"account {acc.name!r}: an amount past the int/str digit limit"
+            ) from None
         out.append(f"account {acc.name} {acc.role.value}{nominal} {debit} // {credit}")
     return "\n".join(out) + "\n"
 
@@ -282,7 +283,14 @@ def reference_value_ledger(
             signed = reference_credit_balance(acc.balance)
         value = dot_value(prices, signed)
         if value.denominator != 1:
-            raise ValueError(f"account {acc.name!r} values to non-integer {value}")
+            try:
+                text = str(value)
+            except ValueError:
+                raise LedgerError(
+                    f"account {acc.name!r}: a non-integer value "
+                    "past the int/str digit limit"
+                ) from None
+            raise ValueError(f"account {acc.name!r} values to non-integer {text}")
         pos, neg = reference_jordan(IntVec.of(int(value)))
         balance = TTerm(pos, neg) if acc.role is Side.DR else TTerm(neg, pos)
         accounts.append(Account(acc.name, acc.role, balance, acc.nominal))

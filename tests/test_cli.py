@@ -135,6 +135,27 @@ def test_validate_reports_failures(data, capsys):
     assert '"fine": OK' in out
 
 
+def test_validate_prints_warnings(data, capsys):
+    journal = data / "both.journal"
+    journal.write_text(
+        "pacioli-journal v1\ndimension 1\n"
+        'entry "round trip"\ndr Assets 5\ncr Assets 5\nend\n'
+    )
+    assert run("validate", "--ledger", data / "scalar.ledger", "--journal", journal) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        'entry 1 "round trip": OK',
+        "  warning: account 'Assets' is both debited and credited",
+        "all 1 entries valid",
+    ]
+
+
+def test_report_on_ledger_without_accounts(data, capsys):
+    empty = data / "empty.ledger"
+    empty.write_text("pacioli-ledger v1\ndimension 1\nunits usd\n")
+    assert run("report", "--ledger", empty) == 0
+    assert capsys.readouterr().out == "(empty)\n"
+
+
 def test_matrix_output(data, capsys):
     assert (
         run(
@@ -250,6 +271,30 @@ def test_close_command(data, capsys):
     assert closed.account("Equity").balance.debit_balance()[0] == -5300
     assert closed.account("Revenue").balance.is_zero()
     assert closed.account("Expenses").balance.is_zero()
+
+
+def test_close_without_out_prints_journal_then_ledger(data, capsys):
+    ledger_file = data / "nominal.ledger"
+    ledger_file.write_text(
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        "account Assets dr 300 // 0\n"
+        "account Equity cr 0 // 0\n"
+        "account Revenue cr nominal 0 // 300\n"
+    )
+    assert run("close", "--ledger", ledger_file, "--equity", "Equity") == 0
+    journal, ledger = capsys.readouterr().out.split("\n\n")
+    assert parse_journal(journal) == [
+        pacioli.JournalEntry(
+            "close Revenue into Equity",
+            (
+                pacioli.Posting("Revenue", pacioli.Side.DR, pacioli.NatVec.of(300)),
+                pacioli.Posting("Equity", pacioli.Side.CR, pacioli.NatVec.of(300)),
+            ),
+        )
+    ]
+    closed = parse_ledger(ledger)
+    assert closed.account("Equity").balance.credit_balance()[0] == 300
+    assert closed.account("Revenue").balance.is_zero()
 
 
 def test_close_unknown_equity(data, capsys):
@@ -501,6 +546,61 @@ def test_residual_past_digit_limit_names_entry(
     assert out == ""
     entry = "entry 'big'" if command == "matrix" else "entry 1 ('big')"
     assert err == f"error: {entry}: unbalanced, residual past the int/str digit limit\n"
+
+
+@support.needs_digit_limit
+def test_value_non_integer_past_digit_limit_names_account(data, capsys):
+    # Assets values to 15000 / 10**4400 = 3 / (2 * 10**4396): 4397 digits.
+    ledger = data / "scalar.ledger"
+    assert run("value", "--ledger", ledger, "--prices", "1e-4400") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: account 'Assets': a non-integer value past the int/str digit limit\n"
+    )
+
+
+@support.needs_digit_limit
+def test_negative_price_past_digit_limit_names_price(data, capsys):
+    ledger = data / "scalar.ledger"
+    assert run("value", "--ledger", ledger, "--prices=-1e-4400") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: price 1 (negative) past the int/str digit limit\n"
+
+
+def test_negative_price_is_shown(data, capsys):
+    assert run("value", "--ledger", data / "scalar.ledger", "--prices=-1/3") == 1
+    assert capsys.readouterr().err == "error: negative price -1/3\n"
+
+
+@support.needs_digit_limit
+def test_unbalanced_ledger_residual_past_digit_limit_is_parse_error(data, capsys):
+    ledger = write_nines(
+        data / "huge.ledger",
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        "account A dr {nines} // 0\naccount B dr {nines} // 0\n",
+    )
+    assert run("report", "--ledger", ledger) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: ledger does not encode a zero-account; "
+        "residual past the int/str digit limit\n"
+    )
+
+
+@support.needs_digit_limit
+def test_over_long_number_names_the_limit(data, capsys):
+    huge = data / "huge.ledger"
+    huge.write_text(
+        "pacioli-ledger v1\ndimension 1\nunits usd\n"
+        f"account A dr {'7' * 5000} // 0\n"
+    )
+    assert run("report", "--ledger", huge) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: number too long: past the int/str digit limit\n"
+    )
 
 
 def out_argv(command, data, out_file):

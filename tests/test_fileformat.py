@@ -169,6 +169,13 @@ def test_comments_and_blank_lines_ignored():
             "number too long",
             id="5000-digit-amount",
         ),
+        ("pacioli-ledger v1\n", None, "missing 'dimension <n>' line"),
+        (
+            "pacioli-ledger v1\ndimension 1\nunits u\naccount A\n",
+            4,
+            "expected 'account <Name> <dr|cr> ...'",
+        ),
+        ("pacioli-ledger v1\ndimension 1\n", None, "missing 'units' line"),
     ],
 )
 def test_ledger_parse_errors(text, line_no, fragment):
@@ -248,6 +255,11 @@ def test_unbalanced_ledger_reports_residual():
             2,
             "number too long",
             id="5000-digit-dimension",
+        ),
+        (
+            'pacioli-journal v1\ndimension 1\nentry "a"\ndr\nend\n',
+            4,
+            "expected 'dr <Account> <amounts>'",
         ),
     ],
 )

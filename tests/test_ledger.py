@@ -100,6 +100,11 @@ def test_ledger_construction_errors():
         Account("bad name", Side.DR, tt(0, 0))
 
 
+def test_ledger_needs_a_positive_dimension():
+    with pytest.raises(LedgerError, match="dimension must be >= 1, got 0"):
+        Ledger(0, (), ())
+
+
 @pytest.mark.parametrize(
     "role, encode",
     [(Side.DR, TTerm.from_debit_balance), (Side.CR, TTerm.from_credit_balance)],

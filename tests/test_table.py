@@ -116,6 +116,19 @@ def test_net_changes_zero_table(scalar_ledger):
     assert set(changes.values()) == {0}
 
 
+def test_table_construction_errors():
+    with pytest.raises(TableError, match="must form a 2x2 grid"):
+        TransactionsTable(("X", "Y"), ((0, 0),))
+    with pytest.raises(TableError, match="must form a 2x2 grid"):
+        TransactionsTable(("X", "Y"), ((0, 0), (0,)))
+    with pytest.raises(TableError, match="unsigned"):
+        TransactionsTable(("X", "Y"), ((0, -1), (0, 0)))
+    table = TransactionsTable(("X", "Y"), ((0, 7), (0, 0)))
+    assert table.cell("X", "Y") == 7
+    with pytest.raises(TableError, match="unknown account 'Z'"):
+        table.index("Z")
+
+
 def test_net_changes_rejects_mismatched_accounts(scalar_ledger):
     table = TransactionsTable(("X", "Y"), ((0, 0), (0, 0)))
     with pytest.raises(TableError, match="match"):
