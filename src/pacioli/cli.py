@@ -1,12 +1,18 @@
 """Command-line surface tying the engine together.
 
 Exit status: 0 on success, 1 on validation failure, 2 on parse/IO/usage
-errors.  Reports go to stdout, diagnostics to stderr.
+errors.  Each `_cmd_*` takes the parsed `--ledger` and returns its exit
+status, its stdout text and the ledger text it writes (or None).
+`run_command` alone parses `--ledger`, writes the ledger text to `--out`
+(or after the report), writes stdout once and turns `UserWarning`s into
+`warning:` lines on stderr.  So a command that fails writes only its
+`error:` line to stderr, nothing to stdout, and leaves `--out` as it was.
 """
 
 import argparse
 import os
 import sys
+import warnings
 from fractions import Fraction as Rational
 from pathlib import Path
 from typing import Sequence
@@ -59,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if out:
             p.add_argument("--out", metavar="FILE", help="write the ledger here")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, balanced=True)
         return p
 
     command(
@@ -72,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         journal="required",
         out=True,
     )
-    command("trial-balance", _cmd_trial_balance, "sum debit and credit sides")
+    tb = command("trial-balance", _cmd_trial_balance, "sum debit and credit sides")
+    tb.set_defaults(balanced=False)  # the command that diagnoses a broken file
     command("report", _cmd_report, "decoded balance sheet")
     command(
         "matrix",
@@ -102,8 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _price(text: str) -> Rational:
-    # Rational("1/0") raises ZeroDivisionError, which argparse would not catch.
+    # Rational builds 10**exponent unchecked, so an exponent past twice the
+    # int/str digit limit (if any) is refused first; Rational("1/0") raises
+    # ZeroDivisionError, which argparse would not catch.
+    _, e, exponent = text.lower().rpartition("e")
+    limit = 2 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError
         return Rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid price {text!r}") from None
@@ -130,27 +143,24 @@ def _write_out(path: str, text: str) -> None:
         raise
 
 
-def _cmd_validate(args) -> int:
-    ledger = parse_ledger(_read(args.ledger))
+def _cmd_validate(args, ledger):
     journal = parse_journal(_read(args.journal))
+    lines = []
     invalid = 0
     for i, entry in enumerate(journal, start=1):
         report = validate_entry(entry, ledger)
         verdict = "OK" if report.ok else f"INVALID ({report.problems()})"
-        print(f'entry {i} "{entry.description}": {verdict}')
-        for warning in report.warnings:
-            print(f"  warning: {warning}")
-        if not report.ok:
-            invalid += 1
+        lines.append(f'entry {i} "{entry.description}": {verdict}\n')
+        lines.extend(f"  warning: {warning}\n" for warning in report.warnings)
+        invalid += not report.ok
     if invalid:
-        print(f"{invalid} of {len(journal)} entries invalid")
-        return 1
-    print(f"all {len(journal)} entries valid")
-    return 0
+        lines.append(f"{invalid} of {len(journal)} entries invalid\n")
+    else:
+        lines.append(f"all {len(journal)} entries valid\n")
+    return (1 if invalid else 0), "".join(lines), None
 
 
-def _cmd_post(args) -> int:
-    ledger = parse_ledger(_read(args.ledger))
+def _cmd_post(args, ledger):
     # Entries are parsed as they are posted, so the parsed entries are never
     # held as a list (the journal's text and its lines still are).
     entries = iter_journal(_read(args.journal))
@@ -162,72 +172,42 @@ def _cmd_post(args) -> int:
         for _ in entries:
             pass
         raise
-    text = render_ledger(ended)
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        print(text, end="")
-    return 0
+    return 0, "", render_ledger(ended)
 
 
-def _cmd_trial_balance(args) -> int:
-    # Lenient parse: this is the command that diagnoses a broken file.
-    ledger = parse_ledger(_read(args.ledger), require_balanced=False)
+def _cmd_trial_balance(args, ledger):
     tb = trial_balance(ledger)
-    print(render_trial_balance(tb))
-    return 0 if tb.balanced else 1
+    return (0 if tb.balanced else 1), render_trial_balance(tb) + "\n", None
 
 
-def _cmd_report(args) -> int:
-    ledger = parse_ledger(_read(args.ledger))
-    print(render_balance_sheet(decode_equation(ledger)))
-    return 0
+def _cmd_report(args, ledger):
+    return 0, render_balance_sheet(decode_equation(ledger)) + "\n", None
 
 
-def _cmd_matrix(args) -> int:
-    ledger = parse_ledger(_read(args.ledger))
-    journal = parse_journal(_read(args.journal))
-    table = build_table(journal, ledger)
+def _cmd_matrix(args, ledger):
+    table = build_table(parse_journal(_read(args.journal)), ledger)
     sums = table_sums(table)
     changes = net_changes(table, ledger)
-    print(render_table_report(table, sums, changes, ledger))
-    return 0
+    return 0, render_table_report(table, sums, changes, ledger) + "\n", None
 
 
-def _cmd_sss(args) -> int:
-    ledger = parse_ledger(_read(args.ledger))
+def _cmd_sss(args, ledger):
     signed = to_signed(ledger)
-    if args.journal:
-        journal = parse_journal(_read(args.journal))
-        rows = journal_to_signed(journal, ledger)
-        ending = signed_post(signed, rows)
-        print(render_signed_report(signed, rows, ending))
-    else:
-        print(render_signed_report(signed))
-    return 0
+    if not args.journal:
+        return 0, render_signed_report(signed) + "\n", None
+    rows = journal_to_signed(parse_journal(_read(args.journal)), ledger)
+    ending = signed_post(signed, rows)
+    return 0, render_signed_report(signed, rows, ending) + "\n", None
 
 
-def _cmd_value(args) -> int:
-    ledger = parse_ledger(_read(args.ledger))
-    prices = PriceVector(tuple(args.prices))
-    print(render_balance_sheet(decode_equation(value_ledger(ledger, prices))))
-    return 0
+def _cmd_value(args, ledger):
+    valued = value_ledger(ledger, PriceVector(tuple(args.prices)))
+    return 0, render_balance_sheet(decode_equation(valued)) + "\n", None
 
 
-def _cmd_close(args) -> int:
-    ledger = parse_ledger(_read(args.ledger))
+def _cmd_close(args, ledger):
     closed, entries = close_nominal(ledger, args.equity)
-    # Both texts are rendered before either is printed, so a render error
-    # prints nothing.
-    journal = render_journal(entries, ledger.dimension)
-    text = render_ledger(closed)
-    print(journal, end="")
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        print()
-        print(text, end="")
-    return 0
+    return 0, render_journal(entries, ledger.dimension), render_ledger(closed)
 
 
 def run_command(argv: Sequence[str]) -> int:
@@ -237,14 +217,32 @@ def run_command(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    notes = []
+    show = warnings.showwarning
+
+    def note(message, category, *where):
+        if issubclass(category, UserWarning):
+            notes.append(f"warning: {message}\n")
+        else:
+            show(message, category, *where)
+
     try:
-        return args.handler(args)
-    except (ParseError, OSError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = note
+            ledger = parse_ledger(_read(args.ledger), require_balanced=args.balanced)
+            status, text, ledger_text = args.handler(args, ledger)
+        if ledger_text is not None:
+            if args.out:
+                _write_out(args.out, ledger_text)
+            else:
+                text = f"{text}\n{ledger_text}" if text else ledger_text
+        sys.stdout.write(text)
+    except (OSError, ValueError) as exc:  # ParseError, LedgerError, TableError, ...
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # LedgerError, TableError, DimensionMismatch, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, OSError)) else 1
+    sys.stderr.write("".join(notes))
+    return status
 
 
 def main(argv: Sequence[str] | None = None) -> None:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import pacioli
 import support
 from pacioli import parse_ledger, reduce_ledger, post, parse_journal
+from pacioli import cli, decode_equation
 from pacioli.cli import run_command
 
 
@@ -646,3 +648,68 @@ def test_python_dash_m_runs_the_cli(data):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-5:] == "15000 = 10000 + 5000".split()
+
+
+@pytest.mark.parametrize("command", ["close", "post"])
+def test_out_failure_prints_nothing(data, command, capsys, monkeypatch):
+    out_file = data / "out.ledger"
+    out_file.write_bytes(b"old contents\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert run(*out_argv(command, data, out_file)) == 2
+    assert out_file.read_bytes() == b"old contents\n"
+    assert capsys.readouterr() == ("", "error: rename refused\n")
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_matrix_diagonal_is_a_warning_line(data, action, capsys):
+    journal = data / "self.journal"
+    journal.write_text(
+        'pacioli-journal v1\ndimension 1\nentry "self"\ndr Assets 5\ncr Assets 5\nend\n'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert run("matrix", "--ledger", data / "scalar.ledger", "--journal", journal) == 0
+    out, err = capsys.readouterr()
+    assert "Assets" in out
+    assert err == (
+        "warning: entry 'self' debits and credits 'Assets'; "
+        "amount lands on the table diagonal\n"
+    )
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_other_warnings_keep_their_handling(data, action, monkeypatch, capsys):
+    def deprecated(ledger):
+        warnings.warn("old call", DeprecationWarning)
+        return decode_equation(ledger)
+
+    monkeypatch.setattr(cli, "decode_equation", deprecated)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        if action == "error":
+            with pytest.raises(DeprecationWarning, match="old call"):
+                run("report", "--ledger", data / "scalar.ledger")
+        else:
+            with pytest.warns(DeprecationWarning, match="old call"):
+                assert run("report", "--ledger", data / "scalar.ledger") == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
+@support.needs_digit_limit
+@pytest.mark.parametrize(
+    "exponent, code",
+    [("1000000", 2), (f"{2 * support.DIGIT_LIMIT + 1}", 2),
+     (f"-{2 * support.DIGIT_LIMIT + 1}", 2), (f"-{2 * support.DIGIT_LIMIT}", 1)],
+)
+def test_price_exponent_is_bounded(data, exponent, code, capsys):
+    # Past twice the digit limit the exponent is refused before Fraction
+    # builds 10**exponent; at the bound the price is valued (and its
+    # non-integer values are past the limit).
+    price = f"1e{exponent}"
+    assert run("value", "--ledger", data / "scalar.ledger", f"--prices={price}") == code
+    err = capsys.readouterr().err
+    assert (f"invalid price {price!r}" in err) == (code == 2)

@@ -17,6 +17,7 @@ from pacioli import (
     Posting,
     Side,
     TTerm,
+    iter_journal,
     parse_journal,
     parse_ledger,
     post,
@@ -394,3 +395,47 @@ def test_ledger_round_trip_property(ledger, reduced):
     text = render_ledger(ledger, reduced=reduced)
     expected = reduce_ledger(ledger) if reduced else ledger
     assert parse_ledger(text, require_balanced=False) == expected
+
+
+# The ten `str.splitlines` line breaks.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+# Any character but `#` and the `str.isspace` ones: what a name may hold.
+NAME_CHARACTERS = st.characters(
+    exclude_categories=("Zs", "Zl", "Zp"),
+    exclude_characters="\t\n\v\f\r\x1c\x1d\x1e\x1f\x85#",
+)
+
+
+def folded(description: str) -> str:
+    """A description as it comes back from a journal file: each line break
+    is a space, `"` is `'` and `#` is dropped."""
+    return "".join(
+        " " if c in LINE_BREAKS else "'" if c == '"' else c
+        for c in description
+        if c != "#"
+    )
+
+
+def named_journals(dim: int):
+    """Entries of 1-4 postings (not necessarily balanced) with any
+    descriptions, any valid account names and magnitudes up to the largest
+    amount a file may hold, with their dimension."""
+    names = st.text(NAME_CHARACTERS, min_size=1, max_size=6)
+    component = st.one_of(st.integers(0, 1000), st.integers(0, 10**DIGITS - 1))
+    amounts = st.tuples(*[component] * dim).map(NatVec)
+    postings = st.builds(Posting, names, st.sampled_from(Side), amounts)
+    text = st.text(st.one_of(st.sampled_from(LINE_BREAKS + '"#'), st.characters()))
+    entries = st.builds(
+        JournalEntry, text, st.lists(postings, min_size=1, max_size=4).map(tuple)
+    )
+    return st.tuples(st.lists(entries, max_size=4), st.just(dim))
+
+
+@given(st.one_of(*map(named_journals, (1, 2, 3))))
+def test_journal_round_trip_property(journal_and_dimension):
+    journal, dimension = journal_and_dimension
+    text = render_journal(journal, dimension)
+    expected = [JournalEntry(folded(e.description), e.postings) for e in journal]
+    assert list(iter_journal(text)) == expected
