@@ -2,11 +2,15 @@
 
 Exit status: 0 on success, 1 on validation failure, 2 on parse/IO/usage
 errors.  Each `_cmd_*` takes the parsed `--ledger` and returns its exit
-status, its stdout text and the ledger text it writes (or None).
-`run_command` alone parses `--ledger`, writes the ledger text to `--out`
-(or after the report), writes stdout once and turns `UserWarning`s into
-`warning:` lines on stderr.  So a command that fails writes only its
-`error:` line to stderr, nothing to stdout, and leaves `--out` as it was.
+status, its stdout as an iterable of text chunks and the ledger text it
+writes (or None).  A handler has formatted every number by the time it
+returns (`sss` and `matrix` return the lines of the reports' second pass,
+which only pads them).  `run_command` alone parses `--ledger`, writes the
+ledger text to `--out` (or after the report), then writes the chunks and
+turns `UserWarning`s into `warning:` lines on stderr.  So a command that
+fails writes only its `error:` line to stderr, nothing to stdout, and
+leaves `--out` as it was.  A reader that closes stdout early ends the
+output, not the command: the exit status is the command's own.
 """
 
 import argparse
@@ -15,7 +19,7 @@ import sys
 import warnings
 from fractions import Fraction as Rational
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fileformat import (
     ParseError,
@@ -34,9 +38,9 @@ from .ledger import (
     validate_entry,
 )
 from .reports import (
+    iter_signed_report,
+    iter_table_report,
     render_balance_sheet,
-    render_signed_report,
-    render_table_report,
     render_trial_balance,
 )
 from .sss import journal_to_signed, signed_post, to_signed
@@ -143,6 +147,23 @@ def _write_out(path: str, text: str) -> None:
         raise
 
 
+def _print(chunks: Iterable[str]) -> None:
+    """Write `chunks` to stdout.  If the reader has closed the pipe, stop,
+    and point stdout at the null device so that the interpreter's last
+    flush does not fail again and print "Exception ignored"."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    return (f"{line}\n" for line in lines)
+
+
 def _cmd_validate(args, ledger):
     journal = parse_journal(_read(args.journal))
     lines = []
@@ -157,7 +178,7 @@ def _cmd_validate(args, ledger):
         lines.append(f"{invalid} of {len(journal)} entries invalid\n")
     else:
         lines.append(f"all {len(journal)} entries valid\n")
-    return (1 if invalid else 0), "".join(lines), None
+    return (1 if invalid else 0), lines, None
 
 
 def _cmd_post(args, ledger):
@@ -172,42 +193,42 @@ def _cmd_post(args, ledger):
         for _ in entries:
             pass
         raise
-    return 0, "", render_ledger(ended)
+    return 0, [], render_ledger(ended)
 
 
 def _cmd_trial_balance(args, ledger):
     tb = trial_balance(ledger)
-    return (0 if tb.balanced else 1), render_trial_balance(tb) + "\n", None
+    return (0 if tb.balanced else 1), [render_trial_balance(tb), "\n"], None
 
 
 def _cmd_report(args, ledger):
-    return 0, render_balance_sheet(decode_equation(ledger)) + "\n", None
+    return 0, [render_balance_sheet(decode_equation(ledger)), "\n"], None
 
 
 def _cmd_matrix(args, ledger):
     table = build_table(parse_journal(_read(args.journal)), ledger)
     sums = table_sums(table)
     changes = net_changes(table, ledger)
-    return 0, render_table_report(table, sums, changes, ledger) + "\n", None
+    return 0, _lines(iter_table_report(table, sums, changes, ledger)), None
 
 
 def _cmd_sss(args, ledger):
     signed = to_signed(ledger)
     if not args.journal:
-        return 0, render_signed_report(signed) + "\n", None
+        return 0, _lines(iter_signed_report(signed)), None
     rows = journal_to_signed(parse_journal(_read(args.journal)), ledger)
     ending = signed_post(signed, rows)
-    return 0, render_signed_report(signed, rows, ending) + "\n", None
+    return 0, _lines(iter_signed_report(signed, rows, ending)), None
 
 
 def _cmd_value(args, ledger):
     valued = value_ledger(ledger, PriceVector(tuple(args.prices)))
-    return 0, render_balance_sheet(decode_equation(valued)) + "\n", None
+    return 0, [render_balance_sheet(decode_equation(valued)), "\n"], None
 
 
 def _cmd_close(args, ledger):
     closed, entries = close_nominal(ledger, args.equity)
-    return 0, render_journal(entries, ledger.dimension), render_ledger(closed)
+    return 0, [render_journal(entries, ledger.dimension)], render_ledger(closed)
 
 
 def run_command(argv: Sequence[str]) -> int:
@@ -231,13 +252,13 @@ def run_command(argv: Sequence[str]) -> int:
             warnings.simplefilter("always", UserWarning)
             warnings.showwarning = note
             ledger = parse_ledger(_read(args.ledger), require_balanced=args.balanced)
-            status, text, ledger_text = args.handler(args, ledger)
-        if ledger_text is not None:
+            status, chunks, ledger_text = args.handler(args, ledger)
+        if ledger_text is not None:  # `post` and `close`: `chunks` is a list
             if args.out:
                 _write_out(args.out, ledger_text)
             else:
-                text = f"{text}\n{ledger_text}" if text else ledger_text
-        sys.stdout.write(text)
+                chunks = [*chunks, "\n", ledger_text] if chunks else [ledger_text]
+        _print(chunks)
     except (OSError, ValueError) as exc:  # ParseError, LedgerError, TableError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, OSError)) else 1

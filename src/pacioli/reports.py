@@ -1,8 +1,17 @@
 """Plain-text rendering of balance sheets, trial balances, grids, and
 signed-ledger views.  A number past the int/str digit limit raises the
-:class:`LedgerError` of ``ledger._text``, naming its account or total."""
+:class:`LedgerError` of ``ledger._text``, naming its account or total.
 
-from typing import Iterable
+The two grid reports run in two passes.  `iter_table_report` and
+`iter_signed_report` make the first before they return: they format every
+cell through ``_text``, the only step that can fail, and take the column
+widths.  The lines they return come from the second pass, which pads each
+line as it is read, so a caller can write the report without holding it.
+`render_table_report` and `render_signed_report` are those lines joined.
+"""
+
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .algebra import TTerm
 from .ledger import _AMOUNT, BalanceSheetEquation, Ledger, TrialBalance, _text
@@ -12,36 +21,55 @@ from .table import TableSums, TransactionsTable
 __all__ = [
     "render_balance_sheet",
     "render_trial_balance",
+    "iter_table_report",
     "render_table_report",
+    "iter_signed_report",
     "render_signed_report",
 ]
 
 
-def _grid(rows: Iterable[Iterable[tuple[int, str]]]) -> str:
+def _grid_lines(rows: Iterable[Iterable[tuple[int, str]]]) -> Iterator[str]:
     """Align sparse rows: first column left, the rest right, two-space gutters.
 
     Each row is an iterable of ``(column, text)`` pairs; a column the row
     leaves out is blank, and a column it names twice shows the last text.
-    Widths come from the shown cells only.  Each line starts as a copy of
-    the blank-padded columns, and only the row's own cells are padded and
-    filled in.
+    Widths come from the shown cells only.  The rows are read and measured
+    now; each line is built when the returned iterator reaches it, from
+    slices of one blank line between the row's own cells.
     """
     rows = [dict(row) for row in rows]
     widths: dict[int, int] = {}
     for row in rows:
         for column, text in row.items():
             widths[column] = max(widths.get(column, 0), len(text))
-    blank = [" " * widths.get(i, 0) for i in range(max(widths, default=-1) + 1)]
-    lines = []
+    ends, end = [], -2  # ends[i]: the offset just past column i
+    for column in range(max(widths, default=-1) + 1):
+        end += 2 + widths.get(column, 0)
+        ends.append(end)
+    return _aligned(rows, ends, " " * end)
+
+
+def _aligned(
+    rows: list[dict[int, str]], ends: list[int], blank: str
+) -> Iterator[str]:
+    """The second pass of `_grid_lines`: each row's line, its cells padded
+    by slices of `blank` and right-aligned at `ends` (the first, left)."""
     for row in rows:
-        cells = blank.copy()
-        for column, text in row.items():
+        pieces, at = [], 0
+        for column, text in sorted(row.items()):
             if column:
-                cells[column] = text.rjust(widths[column])
+                start = ends[column] - len(text)
+                pieces += blank[at:start], text
+                at = ends[column]
             else:
-                cells[column] = text.ljust(widths[column])
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+                pieces.append(text)
+                at = len(text)
+        yield "".join(pieces).rstrip()
+
+
+def _grid(rows: Iterable[Iterable[tuple[int, str]]]) -> str:
+    """The lines of `_grid_lines`, joined."""
+    return "\n".join(_grid_lines(rows))
 
 
 def render_balance_sheet(eq: BalanceSheetEquation) -> str:
@@ -80,12 +108,13 @@ def render_trial_balance(tb: TrialBalance) -> str:
     return "\n".join(lines)
 
 
-def render_table_report(
+def iter_table_report(
     table: TransactionsTable, sums: TableSums, changes: dict[str, int], ledger: Ledger
-) -> str:
-    """The grid with its sums, then the net change per account.  A number
-    past the digit limit names its row's account (its column's, for a
-    column sum)."""
+) -> Iterator[str]:
+    """The lines of the grid with its sums, then the net change per account.
+    Every cell is formatted before this returns: a number past the digit
+    limit raises here, naming its row's account (its column's, for a column
+    sum)."""
     names = table.account_names
     last = len(names) + 1
     rows = [enumerate(["Dr.\\Cr.", *names, "(row sum)"])]
@@ -107,7 +136,14 @@ def render_table_report(
         enumerate([acc.name, acc.role.value, _text(changes[acc.name], _AMOUNT, acc.name)])
         for acc in ledger.accounts
     ]
-    return "\n".join([_grid(rows), "", "net changes:", _grid(change_rows)])
+    return chain(_grid_lines(rows), ["", "net changes:"], _grid_lines(change_rows))
+
+
+def render_table_report(
+    table: TransactionsTable, sums: TableSums, changes: dict[str, int], ledger: Ledger
+) -> str:
+    """The lines of `iter_table_report`, joined."""
+    return "\n".join(iter_table_report(table, sums, changes, ledger))
 
 
 def _balance_row(label: str, ledger: SignedLedger):
@@ -115,12 +151,13 @@ def _balance_row(label: str, ledger: SignedLedger):
     return enumerate([label, *cells])
 
 
-def render_signed_report(
+def iter_signed_report(
     ledger: SignedLedger,
     rows: list[SignedRow] | None = None,
     ending: SignedLedger | None = None,
-) -> str:
-    """Single-sided signed view; with journal rows, the full posting table.
+) -> Iterator[str]:
+    """The lines of the single-sided signed view; with journal rows, the
+    full posting table.  Every cell is formatted before this returns.
 
     A transaction row shows only the accounts it changes, the last change
     where it names one twice; a change to an account not in `ledger` is not
@@ -148,4 +185,13 @@ def render_signed_report(
     if ending is not None:
         grid.append(_balance_row("ending", ending))
         checks.append(f"ending zero-row: {'OK' if ending.is_zero_row() else 'FAIL'}")
-    return "\n".join([_grid(grid), "", *checks])
+    return chain(_grid_lines(grid), ["", *checks])
+
+
+def render_signed_report(
+    ledger: SignedLedger,
+    rows: list[SignedRow] | None = None,
+    ending: SignedLedger | None = None,
+) -> str:
+    """The lines of `iter_signed_report`, joined."""
+    return "\n".join(iter_signed_report(ledger, rows, ending))

@@ -713,3 +713,51 @@ def test_price_exponent_is_bounded(data, exponent, code, capsys):
     assert run("value", "--ledger", data / "scalar.ledger", f"--prices={price}") == code
     err = capsys.readouterr().err
     assert (f"invalid price {price!r}" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("command", ["post", "sss"])
+def test_non_utf8_journal_names_the_byte(data, command, capsys):
+    head = b'pacioli-journal v1\ndimension 1\nentry "caf'
+    journal = data / "latin1.journal"
+    journal.write_bytes(head + b'\xff"\ndr Assets 1\ncr Equity 1\nend\n')
+    argv = ["--ledger", data / "scalar.ledger", "--journal", journal]
+    assert run(command, *argv) == 2
+    message = f"{journal}: not UTF-8 (invalid start byte at byte {len(head)})"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["sss", "report"])
+def test_reader_closing_stdout_early_is_not_an_error(data, command, buffered):
+    # `sss` prints thousands of rows, which outgrow the pipe: the reader
+    # takes one line and is gone while the command is still writing.
+    # `report` fits the pipe, and its reader is gone before it writes.
+    # Neither may complain, not even at the interpreter's last flush, in
+    # development mode with warnings as errors.
+    names = ("Assets", "Liabilities", "Equity")
+    argv = [command, "--ledger", data / "scalar.ledger"]
+    if command == "sss":
+        entries = "".join(
+            f'entry "t{i}"\ndr {names[i % 3]} {i}\ncr {names[(i + 1) % 3]} {i}\nend\n'
+            for i in range(5000)
+        )
+        journal = data / "long.journal"
+        journal.write_text(f"pacioli-journal v1\ndimension 1\n{entries}")
+        argv += ["--journal", journal]
+    src = Path(pacioli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    strict = ["-X", "dev", "-W", "error"]
+    with subprocess.Popen(
+        [sys.executable, *strict, "-m", "pacioli.cli", *map(str, argv)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        if command == "sss":
+            assert proc.stdout.readline().split() == [n.encode() for n in names]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -1,28 +1,44 @@
 """The streaming journal parser, checked against the list parser and the
-vector constructor."""
+vector constructor; the streamed `sss` and `matrix` reports, checked
+against their text."""
 
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 
 import support
 from pacioli import (
+    Account,
+    IntVec,
+    JournalEntry,
+    Ledger,
     LedgerError,
     NatVec,
     ParseError,
+    Posting,
+    Side,
+    TTerm,
+    build_table,
     iter_journal,
+    journal_to_signed,
+    net_changes,
     parse_journal,
     parse_ledger,
     post,
     render_journal,
     render_ledger,
+    signed_post,
+    table_sums,
+    to_signed,
 )
 from pacioli.cli import run_command
+from pacioli.reports import render_signed_report, render_table_report
 
 SCALAR = support.DATA / "scalar.ledger"
 
@@ -112,3 +128,61 @@ def test_entries_before_a_syntax_error_are_yielded():
     assert next(entries).description == "first"
     with pytest.raises(ParseError, match="line 7: unknown directive 'bogus'"):
         next(entries)
+
+
+# --- the streamed reports ---
+
+NAMES = ("A1", "A2", "A3", "A4", "A5")
+
+
+@st.composite
+def scalar_books(draw) -> tuple[Ledger, list[JournalEntry]]:
+    """A balanced scalar ledger and a journal of simple transfers, some from
+    an account to itself; descriptions may end in spaces."""
+    values = draw(st.lists(st.integers(-(10**6), 10**6), max_size=4))
+    values.append(-sum(values))
+    roles = st.sampled_from(Side)
+    accounts = tuple(
+        Account(name, draw(roles), TTerm.from_debit_balance(IntVec.of(v)))
+        for name, v in zip(NAMES, values)
+    )
+    ledger = Ledger(1, ("usd",), accounts)
+    names = st.sampled_from(ledger.names())
+    journal = []
+    for _ in range(draw(st.integers(0, 6))):
+        amount = NatVec.of(draw(st.integers(1, 10**6)))
+        postings = (
+            Posting(draw(names), Side.DR, amount),
+            Posting(draw(names), Side.CR, amount),
+        )
+        journal.append(JournalEntry(draw(st.text("ab ", max_size=4)), postings))
+    return ledger, journal
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalar_books())
+def test_streamed_reports_equal_their_text(book):
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger_path, journal_path = Path(tmp) / "in.ledger", Path(tmp) / "in.journal"
+        ledger_path.write_text(render_ledger(book[0]))
+        journal_path.write_text(render_journal(book[1], 1))
+        ledger = parse_ledger(ledger_path.read_text())
+        journal = parse_journal(journal_path.read_text())
+        signed = to_signed(ledger)
+        rows = journal_to_signed(journal, ledger)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a self-transfer lands on the diagonal
+            table = build_table(journal, ledger)
+        table_args = table, table_sums(table), net_changes(table, ledger), ledger
+        ending = signed_post(signed, rows)
+        journal_args = ["--journal", str(journal_path)]
+        expected = [
+            (["sss"], render_signed_report(signed)),
+            (["sss", *journal_args], render_signed_report(signed, rows, ending)),
+            (["matrix", *journal_args], render_table_report(*table_args)),
+        ]
+        for argv, text in expected:
+            out, err = io.StringIO(), io.StringIO()  # err: the diagonal warnings
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert run_command([*argv, "--ledger", str(ledger_path)]) == 0
+            assert out.getvalue() == text + "\n"
