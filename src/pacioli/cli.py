@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .fileformat import (
     ParseError,
-    iter_journal,
+    _journal,
+    _row,
     parse_journal,
     parse_ledger,
     render_journal,
@@ -31,9 +32,9 @@ from .fileformat import (
 )
 from .ledger import (
     PostingError,
+    _post_rows,
     close_nominal,
     decode_equation,
-    post,
     trial_balance,
     validate_entry,
 )
@@ -165,7 +166,7 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _cmd_validate(args, ledger):
-    journal = parse_journal(_read(args.journal))
+    journal = parse_journal(_read(args.journal), dimension=ledger.dimension)
     lines = []
     invalid = 0
     for i, entry in enumerate(journal, start=1):
@@ -182,15 +183,17 @@ def _cmd_validate(args, ledger):
 
 
 def _cmd_post(args, ledger):
-    # Entries are parsed as they are posted, so the parsed entries are never
-    # held as a list (the journal's text and its lines still are).
-    entries = iter_journal(_read(args.journal))
+    # Each entry is netted as it is parsed, from the grammar's raw rows: no
+    # `NatVec`, `Posting` or `JournalEntry` per posting, and no list of
+    # entries (the journal's text and its lines are still held).
+    # `iter_journal` is the object form of the same grammar.
+    rows = _journal(_read(args.journal), _row, ledger.dimension)
     try:
-        ended = post(ledger, entries)
+        ended = _post_rows(ledger, rows)
     except PostingError:
         # A syntax error anywhere in the journal outranks a posting error
         # (exit 2, not 1), as when the whole journal is parsed first.
-        for _ in entries:
+        for _ in rows:
             pass
         raise
     return 0, [], render_ledger(ended)
@@ -206,7 +209,8 @@ def _cmd_report(args, ledger):
 
 
 def _cmd_matrix(args, ledger):
-    table = build_table(parse_journal(_read(args.journal)), ledger)
+    journal = parse_journal(_read(args.journal), dimension=ledger.dimension)
+    table = build_table(journal, ledger)
     sums = table_sums(table)
     changes = net_changes(table, ledger)
     return 0, _lines(iter_table_report(table, sums, changes, ledger)), None
@@ -216,7 +220,8 @@ def _cmd_sss(args, ledger):
     signed = to_signed(ledger)
     if not args.journal:
         return 0, _lines(iter_signed_report(signed)), None
-    rows = journal_to_signed(parse_journal(_read(args.journal)), ledger)
+    journal = parse_journal(_read(args.journal), dimension=ledger.dimension)
+    rows = journal_to_signed(journal, ledger)
     ending = signed_post(signed, rows)
     return 0, _lines(iter_signed_report(signed, rows, ending)), None
 

@@ -34,15 +34,22 @@ Each entry holds one or more posting lines.  Descriptions are quoted and
 may contain spaces but not ``"``, ``#`` or a line break.  The parser checks
 shape only; whether an entry balances is the validator's business.
 
-A journal is read as a stream: :func:`iter_journal` yields one entry at a
-time, so posting a journal file never holds its parsed entries as a list
-(the text and its lines are still held whole)::
+A journal is read as a stream.  The grammar is one loop, ``_journal``,
+which yields each entry at its ``end`` line in the form its caller asks
+for: :func:`iter_journal` is the object form, one `JournalEntry` at a
+time, so posting a journal never holds its parsed entries as a list (the
+text and its lines are still held whole)::
 
     ended = post(ledger, iter_journal(text))
 
-:func:`parse_journal` is its list, ``list(iter_journal(text))``.  A syntax
-error is raised when the stream reaches its line; ``post`` applies nothing
-before the stream ends, so posting stays all-or-nothing.
+The CLI's ``post`` takes the raw form instead, a description and
+``(account, Side, amount ints)`` triples per entry, and nets those rows
+straight into its sums: it builds no `NatVec`, `Posting` or `JournalEntry`
+per posting.  :func:`parse_journal` is the list of the object form.  A
+syntax error is raised when the stream reaches its line; posting applies
+nothing before the stream ends, so it stays all-or-nothing.  Given the
+ledger's ``dimension``, a journal that declares another one is a
+:class:`ParseError` at its ``dimension`` line, before any entry.
 
 Ledgers are written back in reduced form: that is the canonical on-disk
 representation.
@@ -52,8 +59,8 @@ import re
 from typing import Iterator
 
 from .algebra import NatVec, TTerm, _reduce
-from .ledger import Account, JournalEntry, Ledger, LedgerError, Posting, Side
-from .ledger import _AMOUNT, _PAST_LIMIT, _check_name, _residual_text, _text
+from .ledger import Account, JournalEntry, Ledger, LedgerError, Side
+from .ledger import _AMOUNT, _PAST_LIMIT, _check_name, _entry, _residual_text, _text
 
 __all__ = [
     "LEDGER_MAGIC",
@@ -89,7 +96,9 @@ class ParseError(ValueError):
 def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, content) with comments and blanks removed."""
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:  # most lines have no comment: skip the split
+            raw = raw.split("#", 1)[0]
+        line = raw.strip()
         if line:
             yield i, line
 
@@ -100,26 +109,26 @@ def _is_amount(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _ints(tokens: list[str], line_no: int) -> tuple[int, ...]:
-    """Convert checked digit tokens; a token longer than the interpreter's
-    int/str digit limit is a parse error."""
+def _amounts(tokens: list[str], n: int, line_no: int) -> tuple[int, ...]:
+    """Exactly `n` unsigned amount tokens as ints; a token longer than the
+    interpreter's int/str digit limit is a parse error."""
+    if len(tokens) != n:
+        raise ParseError(f"expected {n} amount component(s), got {len(tokens)}", line_no)
+    digits = "".join(tokens)  # tokens are never empty
+    if not (digits.isascii() and digits.isdigit()):
+        token = next(t for t in tokens if not _is_amount(t))
+        raise ParseError(f"bad amount {token!r} (unsigned integer expected)", line_no)
     try:
         return tuple(map(int, tokens))
     except ValueError:
         raise ParseError(f"number too long: {_PAST_LIMIT}", line_no) from None
 
 
-def _parse_amounts(tokens: list[str], n: int, line_no: int) -> NatVec:
-    if len(tokens) != n:
-        raise ParseError(f"expected {n} amount component(s), got {len(tokens)}", line_no)
-    if not _is_amount("".join(tokens)):  # tokens are never empty
-        token = next(t for t in tokens if not _is_amount(t))
-        raise ParseError(f"bad amount {token!r} (unsigned integer expected)", line_no)
-    return NatVec(_ints(tokens, line_no))
-
-
-def _parse_header(lines: Iterator[tuple[int, str]], magic: str) -> int:
-    """Consume the magic line and the dimension line; return the dimension."""
+def _parse_header(
+    lines: Iterator[tuple[int, str]], magic: str, ledger_dimension: int | None = None
+) -> int:
+    """Consume the magic line and the dimension line; return the dimension,
+    which must be `ledger_dimension` when that is given."""
     try:
         line_no, line = next(lines)
     except StopIteration:
@@ -133,9 +142,13 @@ def _parse_header(lines: Iterator[tuple[int, str]], magic: str) -> int:
     tokens = line.split()
     if tokens[0] != "dimension" or len(tokens) != 2 or not _is_amount(tokens[1]):
         raise ParseError("expected 'dimension <n>'", line_no)
-    (dimension,) = _ints(tokens[1:], line_no)
+    (dimension,) = _amounts(tokens[1:], 1, line_no)
     if dimension < 1:
         raise ParseError("dimension must be >= 1", line_no)
+    if ledger_dimension is not None and dimension != ledger_dimension:
+        raise ParseError(
+            f"journal has dimension {dimension}, ledger has {ledger_dimension}", line_no
+        )
     return dimension
 
 
@@ -184,8 +197,8 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
             if rest.count("//") != 1:
                 raise ParseError("expected one '//' between debit and credit", line_no)
             split = rest.index("//")
-            debit = _parse_amounts(rest[:split], dimension, line_no)
-            credit = _parse_amounts(rest[split + 1 :], dimension, line_no)
+            debit = NatVec(_amounts(rest[:split], dimension, line_no))
+            credit = NatVec(_amounts(rest[split + 1 :], dimension, line_no))
             accounts.append(Account(name, role, TTerm(debit, credit), nominal))
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", line_no)
@@ -202,18 +215,20 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
     return ledger
 
 
-def iter_journal(text: str) -> Iterator[JournalEntry]:
-    """Parse a journal file lazily, yielding each entry at its ``end`` line
-    (shape check only).
+def _journal(text: str, entry, dimension: int | None = None) -> Iterator:
+    """The journal grammar (shape check only): at each ``end`` line, yield
+    ``entry(description, postings)``, where `postings` is a new list of
+    ``(account, Side, amount ints)`` triples.
 
     A syntax error is raised when the parse reaches its line, after every
-    entry before it has been yielded.
+    entry before it has been yielded.  With `dimension`, a journal that
+    declares another one fails at its ``dimension`` line.
     """
     lines = _logical_lines(text)
-    dimension = _parse_header(lines, JOURNAL_MAGIC)
+    dim = _parse_header(lines, JOURNAL_MAGIC, dimension)
 
     description: str | None = None
-    postings: list[Posting] = []
+    postings: list = []
     last_line_no = 0
     for line_no, line in lines:
         last_line_no = line_no
@@ -224,8 +239,7 @@ def iter_journal(text: str) -> Iterator[JournalEntry]:
                 raise ParseError(f"{tokens[0]!r} line outside an entry", line_no)
             if len(tokens) < 2:
                 raise ParseError(f"expected '{tokens[0]} <Account> <amounts>'", line_no)
-            amount = _parse_amounts(tokens[2:], dimension, line_no)
-            postings.append(Posting(tokens[1], side, amount))
+            postings.append((tokens[1], side, _amounts(tokens[2:], dim, line_no)))
         elif tokens[0] == "entry":
             if description is not None:
                 raise ParseError("'entry' before previous entry's 'end'", line_no)
@@ -241,7 +255,7 @@ def iter_journal(text: str) -> Iterator[JournalEntry]:
                 raise ParseError("unexpected tokens after 'end'", line_no)
             if not postings:
                 raise ParseError("entry has no postings", line_no)
-            yield JournalEntry(description, tuple(postings))
+            yield entry(description, postings)
             description = None
             postings = []
         else:
@@ -250,9 +264,25 @@ def iter_journal(text: str) -> Iterator[JournalEntry]:
         raise ParseError(f"entry {description!r} is missing 'end'", last_line_no)
 
 
-def parse_journal(text: str) -> list[JournalEntry]:
+def _row(description: str, postings: list) -> tuple[str, list]:
+    """A raw row: the description and the posting triples, as parsed."""
+    return description, postings
+
+
+def iter_journal(text: str, *, dimension: int | None = None) -> Iterator[JournalEntry]:
+    """Parse a journal file lazily, yielding each entry at its ``end`` line
+    (shape check only).
+
+    A syntax error is raised when the parse reaches its line, after every
+    entry before it has been yielded.  With `dimension` (the ledger's), a
+    journal that declares another one fails at its ``dimension`` line.
+    """
+    return _journal(text, _entry, dimension)
+
+
+def parse_journal(text: str, *, dimension: int | None = None) -> list[JournalEntry]:
     """Parse a journal file into a list of entries: ``list(iter_journal(text))``."""
-    return list(iter_journal(text))
+    return list(_journal(text, _entry, dimension))
 
 
 # The `render` of `_text` for an amount: its components, space separated.

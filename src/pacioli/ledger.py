@@ -380,26 +380,37 @@ def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
     )
 
 
-def _net(entry: JournalEntry, ledger: Ledger, sums: dict[str, list[int]]) -> bool:
-    """Add `entry`'s postings into `sums`: account name -> debit components,
-    then credit components, from zero, in order of first appearance.
+def _entry(description: str, postings) -> JournalEntry:
+    """The entry of a description and ``(account, side, components)`` triples."""
+    return JournalEntry(description, [Posting(a, s, NatVec(v)) for a, s, v in postings])
+
+
+def _triples(entry: JournalEntry) -> list:
+    """The postings of `entry` as ``(account, side, components)`` triples."""
+    return [(p.account, p.side, p.amount.components) for p in entry.postings]
+
+
+def _net(postings, ledger: Ledger, sums: dict[str, list[int]]) -> bool:
+    """Add an entry's ``(account, side, components)`` posting triples into
+    `sums`: account name -> debit components, then credit components, from
+    zero, in order of first appearance.
 
     False, with `sums` partly updated, exactly when `validate_entry` is not
     ok: an unknown account, a wrong dimension, or debits unequal to credits.
     """
     dim = ledger.dimension
     known = ledger._by_name
+    debit = Side.DR  # a local: looking up an enum member is a call
     residual = [0] * dim
-    for posting in entry.postings:
-        amount = posting.amount.components
-        acc = sums.get(posting.account)
+    for account, side, amount in postings:
+        acc = sums.get(account)
         if acc is None:
-            if posting.account not in known:
+            if account not in known:
                 return False
-            acc = sums[posting.account] = [0] * (2 * dim)
+            acc = sums[account] = [0] * (2 * dim)
         if len(amount) != dim:
             return False
-        if posting.side is Side.DR:
+        if side is debit:
             for j, c in enumerate(amount):
                 acc[j] += c
                 residual[j] += c
@@ -410,6 +421,20 @@ def _net(entry: JournalEntry, ledger: Ledger, sums: dict[str, list[int]]) -> boo
     return not any(residual)
 
 
+def _ended(ledger: Ledger, sums: dict[str, list[int]]) -> Ledger:
+    """`ledger` with the netted `sums` added to its opening balances; each
+    touched balance is built once."""
+    dim = ledger.dimension
+    known = ledger._by_name
+    balances = {}
+    for name, sides in sums.items():
+        opening = known[name].balance
+        for j, c in enumerate(opening.debit.components + opening.credit.components):
+            sides[j] += c
+        balances[name] = TTerm(NatVec(tuple(sides[:dim])), NatVec(tuple(sides[dim:])))
+    return ledger.with_balances(balances)
+
+
 def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
     """Add every entry's zero-terms to the account balances, in order.
 
@@ -418,21 +443,30 @@ def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
     debits and credits; reduction is a separate, explicit step.
 
     `_net` nets every entry into one dict for the whole journal; each touched
-    balance is built once at the end, and `validate_entry` runs only on a failure.
+    balance is built once at the end, and `validate_entry` runs only on a
+    failure.  The CLI's ``post`` goes through `_post_rows` instead, on the
+    raw rows the journal grammar parses, so it builds no `NatVec`,
+    `Posting` or `JournalEntry` per posting.
     """
-    dim = ledger.dimension
-    known = ledger._by_name
     sums: dict[str, list[int]] = {}
     for i, entry in enumerate(journal):
-        if not _net(entry, ledger, sums):
+        if not _net(_triples(entry), ledger, sums):
             raise PostingError(i, entry, validate_entry(entry, ledger))
-    balances = {}
-    for name, sides in sums.items():
-        opening = known[name].balance
-        for j, c in enumerate(opening.debit.components + opening.credit.components):
-            sides[j] += c
-        balances[name] = TTerm(NatVec(tuple(sides[:dim])), NatVec(tuple(sides[dim:])))
-    return ledger.with_balances(balances)
+    return _ended(ledger, sums)
+
+
+def _post_rows(ledger: Ledger, rows: Iterable[tuple[str, list]]) -> Ledger:
+    """`post` of raw rows, ``(description, posting triples)`` pairs.
+
+    The `JournalEntry` of the first row that fails is built for its
+    :class:`PostingError`, which then reads as `post` of the parsed entries.
+    """
+    sums: dict[str, list[int]] = {}
+    for i, (description, postings) in enumerate(rows):
+        if not _net(postings, ledger, sums):
+            entry = _entry(description, postings)
+            raise PostingError(i, entry, validate_entry(entry, ledger))
+    return _ended(ledger, sums)
 
 
 def trial_balance(ledger: Ledger) -> TrialBalance:

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .algebra import DimensionMismatch, IntVec
 from .ledger import JournalEntry, Ledger, LedgerError, PostingError, Side, validate_entry
-from .ledger import _Book, _net
+from .ledger import _Book, _net, _triples
 
 __all__ = [
     "SignedAccount",
@@ -92,7 +92,7 @@ def journal_to_signed(
     rows = []
     for i, entry in enumerate(journal):
         sums: dict[str, list[int]] = {}
-        if not _net(entry, ledger, sums):
+        if not _net(_triples(entry), ledger, sums):
             raise PostingError(i, entry, validate_entry(entry, ledger))
         changes = tuple(
             (name, IntVec(tuple(d - c for d, c in zip(sides, sides[dim:]))))

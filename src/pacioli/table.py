@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import NatVec, TTerm
-from .ledger import JournalEntry, Ledger, Side, _net, validate_entry
+from .ledger import JournalEntry, Ledger, Side, _net, _triples, validate_entry
 
 __all__ = [
     "TableError",
@@ -74,7 +74,7 @@ def _simple_transfer(entry: JournalEntry, ledger: Ledger) -> tuple[str, str, int
     debited (credited) ones; the amount is the debited account's debit sum.
     """
     sums: dict[str, list[int]] = {}
-    if not _net(entry, ledger, sums):
+    if not _net(_triples(entry), ledger, sums):
         report = validate_entry(entry, ledger)
         raise TableError(f"entry {entry.description!r}: {report.problems()}")
     dr_accounts = [name for name, (debit, _) in sums.items() if debit]

@@ -375,6 +375,32 @@ def test_post_parse_error_outranks_posting_error(data, capsys):
     assert sorted(p.name for p in data.iterdir()) == before
 
 
+WIDE_ENTRY = 'entry "t"\ndr Assets 1 1\ncr Equity 1 1\nend\n'
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ["", WIDE_ENTRY, WIDE_ENTRY + "bogus\n"],
+    ids=["empty", "entries", "later-syntax-error"],
+)
+@pytest.mark.parametrize("command", ["post", "validate", "sss", "matrix"])
+def test_journal_of_another_dimension_is_parse_error(data, command, entries, capsys):
+    # The journal's `dimension` line is checked against the ledger's, before
+    # any entry, so it is the file's first error.
+    journal = data / "wide.journal"
+    journal.write_text(f"pacioli-journal v1\ndimension 2\n{entries}")
+    argv = ["--ledger", data / "scalar.ledger", "--journal", journal]
+    if command == "post":
+        argv += ["--out", data / "out.ledger"]
+    before = sorted(p.name for p in data.iterdir())
+    assert run(command, *argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: line 2: journal has dimension 2, ledger has 1\n",
+    )
+    assert sorted(p.name for p in data.iterdir()) == before
+
+
 def test_zero_denominator_price_is_usage_error(data, capsys):
     assert run("value", "--ledger", data / "scalar.ledger", "--prices", "1/0") == 2
     err = capsys.readouterr().err

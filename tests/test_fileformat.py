@@ -369,12 +369,16 @@ def is_name(text: str) -> bool:
     return True
 
 
+RENAMED_BASES = st.one_of(support.ledgers(), support.ledgers(limit=10**DIGITS - 1))
+RENAMED_NAMES = st.text(min_size=1, max_size=6).filter(is_name)
+
+
 @st.composite
 def renamed_ledgers(draw):
     """`support.ledgers` with magnitudes up to the largest amount a file may
     hold, and any valid account and unit names."""
-    ledger = draw(st.one_of(support.ledgers(), support.ledgers(limit=10**DIGITS - 1)))
-    names = st.text(min_size=1, max_size=6).filter(is_name)
+    ledger = draw(RENAMED_BASES)
+    names = RENAMED_NAMES
     n, dim = len(ledger.accounts), ledger.dimension
     accounts = draw(st.lists(names, min_size=n, max_size=n, unique=True))
     units = draw(st.lists(names, min_size=dim, max_size=dim, unique=True))

@@ -38,6 +38,7 @@ from pacioli import (
     to_signed,
 )
 from pacioli.cli import run_command
+from pacioli.fileformat import _journal, _row
 from pacioli.reports import render_signed_report, render_table_report
 
 SCALAR = support.DATA / "scalar.ledger"
@@ -117,6 +118,36 @@ def test_post_command_matches_post_of_list(case, tail):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_command(["post", "--ledger", str(SCALAR), "--journal", str(journal)])
     assert (code, out.getvalue(), err.getvalue()) == post_of_list(SCALAR, text)
+
+
+def parsed(items) -> tuple[list, str | None]:
+    """The items a parse yields, and the message of the `ParseError` that
+    ends it (None if it ends cleanly)."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except ParseError as exc:
+        return got, str(exc)
+    return got, None
+
+
+@given(journal_texts(invalid=True), st.sampled_from(LATE_SYNTAX_ERRORS), st.data())
+def test_raw_rows_equal_the_parsed_entries(case, tail, data):
+    # The CLI's `post` nets the grammar's raw rows; `iter_journal` builds
+    # entries from the same loop.  Field by field they agree, and a syntax
+    # error (or a declared dimension other than the ledger's) stops both
+    # at the same entry with the same message.
+    ledger, _, text = case
+    text += tail
+    dimension = data.draw(st.sampled_from([None, ledger.dimension, ledger.dimension + 1]))
+    rows, row_error = parsed(_journal(text, _row, dimension))
+    entries, entry_error = parsed(iter_journal(text, dimension=dimension))
+    assert row_error == entry_error
+    assert rows == [
+        (e.description, [(p.account, p.side, p.amount.components) for p in e.postings])
+        for e in entries
+    ]
 
 
 def test_entries_before_a_syntax_error_are_yielded():
