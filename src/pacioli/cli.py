@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Sequence
 from .fileformat import (
     ParseError,
     _journal,
-    _row,
     parse_journal,
     parse_ledger,
     render_journal,
@@ -183,11 +182,10 @@ def _cmd_validate(args, ledger):
 
 
 def _cmd_post(args, ledger):
-    # Each entry is netted as it is parsed, from the grammar's raw rows: no
+    # Each row the journal grammar yields is netted as it is parsed: no
     # `NatVec`, `Posting` or `JournalEntry` per posting, and no list of
     # entries (the journal's text and its lines are still held).
-    # `iter_journal` is the object form of the same grammar.
-    rows = _journal(_read(args.journal), _row, ledger.dimension)
+    rows = _journal(_read(args.journal), ledger.dimension)
     try:
         ended = _post_rows(ledger, rows)
     except PostingError:

@@ -35,20 +35,19 @@ may contain spaces but not ``"``, ``#`` or a line break.  The parser checks
 shape only; whether an entry balances is the validator's business.
 
 A journal is read as a stream.  The grammar is one loop, ``_journal``,
-which yields each entry at its ``end`` line in the form its caller asks
-for: :func:`iter_journal` is the object form, one `JournalEntry` at a
-time, so posting a journal never holds its parsed entries as a list (the
-text and its lines are still held whole)::
+which yields each entry at its ``end`` line as a row: its description and
+a list of ``(account, Side, amount ints)`` posting triples.  The CLI's
+``post`` nets those rows straight into its sums, building no `NatVec`,
+`Posting` or `JournalEntry` per posting.  :func:`iter_journal` builds one
+`JournalEntry` from each row, so posting a journal never holds its parsed
+entries as a list (the text and its lines are still held whole)::
 
     ended = post(ledger, iter_journal(text))
 
-The CLI's ``post`` takes the raw form instead, a description and
-``(account, Side, amount ints)`` triples per entry, and nets those rows
-straight into its sums: it builds no `NatVec`, `Posting` or `JournalEntry`
-per posting.  :func:`parse_journal` is the list of the object form.  A
-syntax error is raised when the stream reaches its line; posting applies
-nothing before the stream ends, so it stays all-or-nothing.  Given the
-ledger's ``dimension``, a journal that declares another one is a
+:func:`parse_journal` is the list of those entries.  A syntax error is
+raised when the stream reaches its line; posting applies nothing before
+the stream ends, so it stays all-or-nothing.  Given the ledger's
+``dimension``, a journal that declares another one is a
 :class:`ParseError` at its ``dimension`` line, before any entry.
 
 Ledgers are written back in reduced form: that is the canonical on-disk
@@ -56,6 +55,7 @@ representation.
 """
 
 import re
+from itertools import starmap
 from typing import Iterator
 
 from .algebra import NatVec, TTerm, _reduce
@@ -215,9 +215,9 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
     return ledger
 
 
-def _journal(text: str, entry, dimension: int | None = None) -> Iterator:
+def _journal(text: str, dimension: int | None = None) -> Iterator[tuple[str, list]]:
     """The journal grammar (shape check only): at each ``end`` line, yield
-    ``entry(description, postings)``, where `postings` is a new list of
+    the row ``(description, postings)``, where `postings` is a new list of
     ``(account, Side, amount ints)`` triples.
 
     A syntax error is raised when the parse reaches its line, after every
@@ -255,7 +255,7 @@ def _journal(text: str, entry, dimension: int | None = None) -> Iterator:
                 raise ParseError("unexpected tokens after 'end'", line_no)
             if not postings:
                 raise ParseError("entry has no postings", line_no)
-            yield entry(description, postings)
+            yield description, postings
             description = None
             postings = []
         else:
@@ -264,25 +264,20 @@ def _journal(text: str, entry, dimension: int | None = None) -> Iterator:
         raise ParseError(f"entry {description!r} is missing 'end'", last_line_no)
 
 
-def _row(description: str, postings: list) -> tuple[str, list]:
-    """A raw row: the description and the posting triples, as parsed."""
-    return description, postings
-
-
 def iter_journal(text: str, *, dimension: int | None = None) -> Iterator[JournalEntry]:
-    """Parse a journal file lazily, yielding each entry at its ``end`` line
-    (shape check only).
+    """Parse a journal file lazily, yielding the entry of each row of
+    ``_journal`` at its ``end`` line (shape check only).
 
     A syntax error is raised when the parse reaches its line, after every
     entry before it has been yielded.  With `dimension` (the ledger's), a
     journal that declares another one fails at its ``dimension`` line.
     """
-    return _journal(text, _entry, dimension)
+    return starmap(_entry, _journal(text, dimension))
 
 
 def parse_journal(text: str, *, dimension: int | None = None) -> list[JournalEntry]:
     """Parse a journal file into a list of entries: ``list(iter_journal(text))``."""
-    return list(_journal(text, _entry, dimension))
+    return list(iter_journal(text, dimension=dimension))
 
 
 # The `render` of `_text` for an amount: its components, space separated.

@@ -351,11 +351,12 @@ def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
     credit = [0] * dim
     dr_accounts = set()
     cr_accounts = set()
+    dr = Side.DR  # a local: looking up an enum member is a call
     for i, posting in enumerate(entry.postings):
         name = posting.account
         if name not in known and name not in unknown:
             unknown.append(name)
-        if posting.side is Side.DR:
+        if posting.side is dr:
             side = debit
             dr_accounts.add(name)
         else:
@@ -421,9 +422,33 @@ def _net(postings, ledger: Ledger, sums: dict[str, list[int]]) -> bool:
     return not any(residual)
 
 
-def _ended(ledger: Ledger, sums: dict[str, list[int]]) -> Ledger:
-    """`ledger` with the netted `sums` added to its opening balances; each
-    touched balance is built once."""
+def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
+    """Add every entry's zero-terms to the account balances, in order.
+
+    All-or-nothing: the first entry that fails validation raises
+    :class:`PostingError` and nothing is applied.  Balances accumulate raw
+    debits and credits; reduction is a separate, explicit step.
+
+    This is `_post_rows` of the entries' rows, their descriptions and
+    posting triples.
+    """
+    return _post_rows(ledger, ((e.description, _triples(e)) for e in journal))
+
+
+def _post_rows(ledger: Ledger, rows: Iterable[tuple[str, list]]) -> Ledger:
+    """`post` of rows, ``(description, posting triples)`` pairs: the one
+    posting loop.
+
+    `_net` nets every row into one dict for the whole journal; each touched
+    balance is built once at the end, and `validate_entry` runs only on a
+    failure, on the entry rebuilt from the failing row for its
+    :class:`PostingError`.
+    """
+    sums: dict[str, list[int]] = {}
+    for i, (description, postings) in enumerate(rows):
+        if not _net(postings, ledger, sums):
+            entry = _entry(description, postings)
+            raise PostingError(i, entry, validate_entry(entry, ledger))
     dim = ledger.dimension
     known = ledger._by_name
     balances = {}
@@ -433,40 +458,6 @@ def _ended(ledger: Ledger, sums: dict[str, list[int]]) -> Ledger:
             sides[j] += c
         balances[name] = TTerm(NatVec(tuple(sides[:dim])), NatVec(tuple(sides[dim:])))
     return ledger.with_balances(balances)
-
-
-def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
-    """Add every entry's zero-terms to the account balances, in order.
-
-    All-or-nothing: the first entry that fails validation raises
-    :class:`PostingError` and nothing is applied.  Balances accumulate raw
-    debits and credits; reduction is a separate, explicit step.
-
-    `_net` nets every entry into one dict for the whole journal; each touched
-    balance is built once at the end, and `validate_entry` runs only on a
-    failure.  The CLI's ``post`` goes through `_post_rows` instead, on the
-    raw rows the journal grammar parses, so it builds no `NatVec`,
-    `Posting` or `JournalEntry` per posting.
-    """
-    sums: dict[str, list[int]] = {}
-    for i, entry in enumerate(journal):
-        if not _net(_triples(entry), ledger, sums):
-            raise PostingError(i, entry, validate_entry(entry, ledger))
-    return _ended(ledger, sums)
-
-
-def _post_rows(ledger: Ledger, rows: Iterable[tuple[str, list]]) -> Ledger:
-    """`post` of raw rows, ``(description, posting triples)`` pairs.
-
-    The `JournalEntry` of the first row that fails is built for its
-    :class:`PostingError`, which then reads as `post` of the parsed entries.
-    """
-    sums: dict[str, list[int]] = {}
-    for i, (description, postings) in enumerate(rows):
-        if not _net(postings, ledger, sums):
-            entry = _entry(description, postings)
-            raise PostingError(i, entry, validate_entry(entry, ledger))
-    return _ended(ledger, sums)
 
 
 def trial_balance(ledger: Ledger) -> TrialBalance:

@@ -36,9 +36,11 @@ from pacioli import (
     signed_post,
     table_sums,
     to_signed,
+    validate_entry,
 )
 from pacioli.cli import run_command
-from pacioli.fileformat import _journal, _row
+from pacioli.fileformat import _journal
+from pacioli.ledger import PostingError, _post_rows
 from pacioli.reports import render_signed_report, render_table_report
 
 SCALAR = support.DATA / "scalar.ledger"
@@ -141,13 +143,41 @@ def test_raw_rows_equal_the_parsed_entries(case, tail, data):
     ledger, _, text = case
     text += tail
     dimension = data.draw(st.sampled_from([None, ledger.dimension, ledger.dimension + 1]))
-    rows, row_error = parsed(_journal(text, _row, dimension))
+    rows, row_error = parsed(_journal(text, dimension))
     entries, entry_error = parsed(iter_journal(text, dimension=dimension))
     assert row_error == entry_error
     assert rows == [
         (e.description, [(p.account, p.side, p.amount.components) for p in e.postings])
         for e in entries
     ]
+
+
+@given(st.data())
+def test_posting_error_carries_the_failing_entry(data):
+    # `post` of entries and the CLI's netting of rows share one loop, which
+    # rebuilds the failing entry from its row: it equals the caller's.
+    ledger = data.draw(support.ledgers())
+    journal = data.draw(support.journals(ledger))
+    bad = data.draw(support.invalid_entries(ledger))
+    journal.insert(data.draw(st.integers(0, len(journal))), bad)
+    calls = [lambda: post(ledger, journal), lambda: post(ledger, iter(journal))]
+    try:
+        text = render_journal(journal, ledger.dimension)
+    except LedgerError:  # a posting of another dimension has no file form
+        pass
+    else:
+        calls.append(lambda: post(ledger, iter_journal(text)))
+        calls.append(lambda: _post_rows(ledger, _journal(text, ledger.dimension)))
+    expected = journal.index(bad), validate_entry(bad, ledger)
+    messages = set()
+    for call in calls:
+        with pytest.raises(PostingError) as caught:
+            call()
+        error = caught.value
+        assert (error.entry_index, error.report) == expected
+        assert error.entry == journal[error.entry_index]
+        messages.add(str(error))
+    assert len(messages) == 1
 
 
 def test_entries_before_a_syntax_error_are_yielded():
