@@ -5,7 +5,8 @@ errors.  Each `_cmd_*` takes the parsed `--ledger` and returns its exit
 status, its stdout as an iterable of text chunks and the ledger text it
 writes (or None).  A handler has formatted every number by the time it
 returns (`sss` and `matrix` return the lines of the reports' second pass,
-which only pads them).  `run_command` alone parses `--ledger`, writes the
+which only pads them); `post`, `sss` and `matrix` read the journal as a
+stream (`_stream`).  `run_command` alone parses `--ledger`, writes the
 ledger text to `--out` (or after the report), then writes the chunks and
 turns `UserWarning`s into `warning:` lines on stderr.  So a command that
 fails writes only its `error:` line to stderr, nothing to stdout, and
@@ -29,14 +30,7 @@ from .fileformat import (
     render_journal,
     render_ledger,
 )
-from .ledger import (
-    PostingError,
-    _post_rows,
-    close_nominal,
-    decode_equation,
-    trial_balance,
-    validate_entry,
-)
+from .ledger import close_nominal, decode_equation, post, trial_balance, validate_entry
 from .reports import (
     iter_signed_report,
     iter_table_report,
@@ -164,6 +158,21 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
     return (f"{line}\n" for line in lines)
 
 
+def _stream(args, ledger, consume):
+    """``consume(rows)`` of the journal grammar's rows, parsed as consumed.
+
+    A syntax error anywhere in the journal outranks a failed entry (exit 2,
+    not 1), as when the whole journal is parsed first: on a `ValueError`,
+    the rest of the journal is parsed before it is re-raised."""
+    rows = _journal(_read(args.journal), ledger.dimension)
+    try:
+        return consume(rows)
+    except ValueError:
+        for _ in rows:
+            pass
+        raise
+
+
 def _cmd_validate(args, ledger):
     journal = parse_journal(_read(args.journal), dimension=ledger.dimension)
     lines = []
@@ -182,18 +191,7 @@ def _cmd_validate(args, ledger):
 
 
 def _cmd_post(args, ledger):
-    # Each row the journal grammar yields is netted as it is parsed: no
-    # `NatVec`, `Posting` or `JournalEntry` per posting, and no list of
-    # entries (the journal's text and its lines are still held).
-    rows = _journal(_read(args.journal), ledger.dimension)
-    try:
-        ended = _post_rows(ledger, rows)
-    except PostingError:
-        # A syntax error anywhere in the journal outranks a posting error
-        # (exit 2, not 1), as when the whole journal is parsed first.
-        for _ in rows:
-            pass
-        raise
+    ended = _stream(args, ledger, lambda journal: post(ledger, journal))
     return 0, [], render_ledger(ended)
 
 
@@ -207,8 +205,7 @@ def _cmd_report(args, ledger):
 
 
 def _cmd_matrix(args, ledger):
-    journal = parse_journal(_read(args.journal), dimension=ledger.dimension)
-    table = build_table(journal, ledger)
+    table = _stream(args, ledger, lambda journal: build_table(journal, ledger))
     sums = table_sums(table)
     changes = net_changes(table, ledger)
     return 0, _lines(iter_table_report(table, sums, changes, ledger)), None
@@ -218,8 +215,7 @@ def _cmd_sss(args, ledger):
     signed = to_signed(ledger)
     if not args.journal:
         return 0, _lines(iter_signed_report(signed)), None
-    journal = parse_journal(_read(args.journal), dimension=ledger.dimension)
-    rows = journal_to_signed(journal, ledger)
+    rows = _stream(args, ledger, lambda journal: journal_to_signed(journal, ledger))
     ending = signed_post(signed, rows)
     return 0, _lines(iter_signed_report(signed, rows, ending)), None
 

@@ -36,11 +36,13 @@ shape only; whether an entry balances is the validator's business.
 
 A journal is read as a stream.  The grammar is one loop, ``_journal``,
 which yields each entry at its ``end`` line as a row: its description and
-a list of ``(account, Side, amount ints)`` posting triples.  The CLI's
-``post`` nets those rows straight into its sums, building no `NatVec`,
-`Posting` or `JournalEntry` per posting.  :func:`iter_journal` builds one
-`JournalEntry` from each row, so posting a journal never holds its parsed
-entries as a list (the text and its lines are still held whole)::
+a list of ``(account, Side, amount ints)`` posting triples, which is how
+a `JournalEntry` unpacks.  `post`, `journal_to_signed` and `build_table`
+take entries or rows alike; the CLI's ``post``, ``sss`` and ``matrix``
+pass them the rows, building no `NatVec`, `Posting` or `JournalEntry` per
+posting.  :func:`iter_journal` builds one `JournalEntry` from each row, so
+posting a journal never holds its parsed entries as a list (the text and
+its lines are still held whole)::
 
     ended = post(ledger, iter_journal(text))
 

@@ -206,6 +206,9 @@ class Posting:
     side: Side
     amount: NatVec
 
+    def __iter__(self):
+        return iter((self.account, self.side, self.amount.components))
+
     def term(self) -> TTerm:
         zero = NatVec.zeros(self.amount.dimension)
         if self.side is Side.DR:
@@ -222,6 +225,11 @@ class JournalEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "postings", tuple(self.postings))
+
+    def __iter__(self):
+        """``(description, postings)``: an entry unpacks as the journal
+        grammar's row, and each posting as its triple."""
+        return iter((self.description, self.postings))
 
     def terms_by_account(self) -> dict[str, TTerm]:
         """Net T-term per affected account, in order of first appearance."""
@@ -386,11 +394,6 @@ def _entry(description: str, postings) -> JournalEntry:
     return JournalEntry(description, [Posting(a, s, NatVec(v)) for a, s, v in postings])
 
 
-def _triples(entry: JournalEntry) -> list:
-    """The postings of `entry` as ``(account, side, components)`` triples."""
-    return [(p.account, p.side, p.amount.components) for p in entry.postings]
-
-
 def _net(postings, ledger: Ledger, sums: dict[str, list[int]]) -> bool:
     """Add an entry's ``(account, side, components)`` posting triples into
     `sums`: account name -> debit components, then credit components, from
@@ -429,23 +432,14 @@ def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
     :class:`PostingError` and nothing is applied.  Balances accumulate raw
     debits and credits; reduction is a separate, explicit step.
 
-    This is `_post_rows` of the entries' rows, their descriptions and
-    posting triples.
-    """
-    return _post_rows(ledger, ((e.description, _triples(e)) for e in journal))
-
-
-def _post_rows(ledger: Ledger, rows: Iterable[tuple[str, list]]) -> Ledger:
-    """`post` of rows, ``(description, posting triples)`` pairs: the one
-    posting loop.
-
-    `_net` nets every row into one dict for the whole journal; each touched
-    balance is built once at the end, and `validate_entry` runs only on a
-    failure, on the entry rebuilt from the failing row for its
-    :class:`PostingError`.
+    `journal` holds entries or the journal grammar's rows, ``(description,
+    posting triples)`` pairs, which is how an entry unpacks.  `_net` nets
+    every one into one dict for the whole journal; each touched balance is
+    built once at the end, and `validate_entry` runs only on a failure, on
+    the entry rebuilt from the failing row for its :class:`PostingError`.
     """
     sums: dict[str, list[int]] = {}
-    for i, (description, postings) in enumerate(rows):
+    for i, (description, postings) in enumerate(journal):
         if not _net(postings, ledger, sums):
             entry = _entry(description, postings)
             raise PostingError(i, entry, validate_entry(entry, ledger))

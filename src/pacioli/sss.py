@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .algebra import DimensionMismatch, IntVec
 from .ledger import JournalEntry, Ledger, LedgerError, PostingError, Side, validate_entry
-from .ledger import _Book, _net, _triples
+from .ledger import _Book, _entry, _net
 
 __all__ = [
     "SignedAccount",
@@ -84,21 +84,23 @@ def journal_to_signed(
     Entries must validate against `ledger`; a failure raises
     :class:`PostingError`.  Every produced row sums to zero.
 
-    Each entry is netted per account by `_net`, in order of first
+    `journal` holds entries or the journal grammar's rows, as `post` takes
+    them.  Each is netted per account by `_net`, in order of first
     appearance, and each change, debit minus credit, is built as an
     `IntVec` once.  `validate_entry` runs only to report a failure.
     """
     dim = ledger.dimension
     rows = []
-    for i, entry in enumerate(journal):
+    for i, (description, postings) in enumerate(journal):
         sums: dict[str, list[int]] = {}
-        if not _net(_triples(entry), ledger, sums):
+        if not _net(postings, ledger, sums):
+            entry = _entry(description, postings)
             raise PostingError(i, entry, validate_entry(entry, ledger))
         changes = tuple(
             (name, IntVec(tuple(d - c for d, c in zip(sides, sides[dim:]))))
             for name, sides in sums.items()
         )
-        rows.append(SignedRow(entry.description, changes))
+        rows.append(SignedRow(description, changes))
     return rows
 
 

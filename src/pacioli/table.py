@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import NatVec, TTerm
-from .ledger import JournalEntry, Ledger, Side, _net, _triples, validate_entry
+from .ledger import JournalEntry, Ledger, Side, _entry, _net, validate_entry
 
 __all__ = [
     "TableError",
@@ -67,21 +67,21 @@ class TableSums:
     col_sums: tuple[int, ...]
 
 
-def _simple_transfer(entry: JournalEntry, ledger: Ledger) -> tuple[str, str, int]:
+def _simple_transfer(description: str, postings, ledger: Ledger) -> tuple[str, str, int]:
     """Return (debit account, credit account, amount) or raise TableError.
 
     The accounts with a nonzero debit (credit) sum from `_net` are the
     debited (credited) ones; the amount is the debited account's debit sum.
     """
     sums: dict[str, list[int]] = {}
-    if not _net(_triples(entry), ledger, sums):
-        report = validate_entry(entry, ledger)
-        raise TableError(f"entry {entry.description!r}: {report.problems()}")
+    if not _net(postings, ledger, sums):
+        report = validate_entry(_entry(description, postings), ledger)
+        raise TableError(f"entry {description!r}: {report.problems()}")
     dr_accounts = [name for name, (debit, _) in sums.items() if debit]
     cr_accounts = [name for name, (_, credit) in sums.items() if credit]
     if len(dr_accounts) != 1 or len(cr_accounts) != 1:
         raise TableError(
-            f"entry {entry.description!r} debits {len(dr_accounts)} and credits "
+            f"entry {description!r} debits {len(dr_accounts)} and credits "
             f"{len(cr_accounts)} account(s); split it into simple transfers of "
             "one debited and one credited account"
         )
@@ -91,8 +91,9 @@ def _simple_transfer(entry: JournalEntry, ledger: Ledger) -> tuple[str, str, int
 def build_table(journal: Iterable[JournalEntry], ledger: Ledger) -> TransactionsTable:
     """Accumulate a journal of simple transfers into the M x M grid.
 
-    Requires a scalar (dimension 1) ledger.  Transfers between an account
-    and itself land on the diagonal and trigger a warning.
+    `journal` holds entries or the journal grammar's rows, as `post` takes
+    them.  Requires a scalar (dimension 1) ledger.  Transfers between an
+    account and itself land on the diagonal and trigger a warning.
     """
     if ledger.dimension != 1:
         raise TableError(
@@ -101,11 +102,11 @@ def build_table(journal: Iterable[JournalEntry], ledger: Ledger) -> Transactions
     names = ledger.names()
     index = {name: i for i, name in enumerate(names)}
     cells = [[0] * len(names) for _ in names]
-    for entry in journal:
-        debited, credited, amount = _simple_transfer(entry, ledger)
+    for description, postings in journal:
+        debited, credited, amount = _simple_transfer(description, postings, ledger)
         if debited == credited:
             warnings.warn(
-                f"entry {entry.description!r} debits and credits {debited!r}; "
+                f"entry {description!r} debits and credits {debited!r}; "
                 "amount lands on the table diagonal"
             )
         cells[index[debited]][index[credited]] += amount

@@ -375,7 +375,43 @@ def test_post_parse_error_outranks_posting_error(data, capsys):
     assert sorted(p.name for p in data.iterdir()) == before
 
 
-WIDE_ENTRY = 'entry "t"\ndr Assets 1 1\ncr Equity 1 1\nend\n'
+UNBALANCED = 'entry "broken"\ndr Assets 5\ncr Equity 4\nend\n'
+COMPOUND = 'entry "split"\ndr Assets 5\ncr Equity 3\ncr Liabilities 2\nend\n'
+BAD_AMOUNT = 'entry "later"\ndr Assets x\ncr Equity 1\nend\n'
+BAD_AMOUNT_ERROR = "error: line 8: bad amount 'x' (unsigned integer expected)\n"
+
+
+@pytest.mark.parametrize(
+    "command, ledger, entries, error",
+    [
+        ("sss", "scalar.ledger", UNBALANCED + BAD_AMOUNT, BAD_AMOUNT_ERROR),
+        ("matrix", "scalar.ledger", UNBALANCED + BAD_AMOUNT, BAD_AMOUNT_ERROR),
+        (
+            "matrix",
+            "scalar.ledger",
+            COMPOUND + "bogus\n",
+            "error: line 8: unknown directive 'bogus'\n",
+        ),
+        # Scalar only: `matrix` of a vector ledger fails before any entry.
+        ("matrix", "vector.ledger", None, "error: line 25: unknown directive 'bogus'\n"),
+    ],
+    ids=["sss-unbalanced", "matrix-unbalanced", "matrix-compound", "matrix-vector"],
+)
+def test_report_parse_error_outranks_entry_error(
+    data, command, ledger, entries, error, capsys
+):
+    # `sss` and `matrix` read the journal as a stream, as `post` does; a
+    # later syntax error still decides the exit and is the only message.
+    journal = data / "bad.journal"
+    if entries is None:
+        journal.write_text((data / "vector.journal").read_text() + "bogus\n")
+    else:
+        journal.write_text(f"pacioli-journal v1\ndimension 1\n{entries}")
+    assert run(command, "--ledger", data / ledger, "--journal", journal) == 2
+    assert capsys.readouterr() == ("", error)
+
+
+WIDE_ENTRY ='entry "t"\ndr Assets 1 1\ncr Equity 1 1\nend\n'
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from pacioli import (
     ParseError,
     Posting,
     Side,
+    TableError,
     TTerm,
     build_table,
     iter_journal,
@@ -40,10 +41,11 @@ from pacioli import (
 )
 from pacioli.cli import run_command
 from pacioli.fileformat import _journal
-from pacioli.ledger import PostingError, _post_rows
+from pacioli.ledger import PostingError
 from pacioli.reports import render_signed_report, render_table_report
 
 SCALAR = support.DATA / "scalar.ledger"
+LEDGERS = support.ledgers()
 
 
 @st.composite
@@ -167,7 +169,7 @@ def test_posting_error_carries_the_failing_entry(data):
         pass
     else:
         calls.append(lambda: post(ledger, iter_journal(text)))
-        calls.append(lambda: _post_rows(ledger, _journal(text, ledger.dimension)))
+        calls.append(lambda: post(ledger, _journal(text, ledger.dimension)))
     expected = journal.index(bad), validate_entry(bad, ledger)
     messages = set()
     for call in calls:
@@ -178,6 +180,63 @@ def test_posting_error_carries_the_failing_entry(data):
         assert error.entry == journal[error.entry_index]
         messages.add(str(error))
     assert len(messages) == 1
+
+
+@st.composite
+def books_with_a_failure(draw, ledgers=st.one_of(support.ledgers(max_dim=1), LEDGERS)):
+    """A ledger (scalar half the time) and a journal of it; sometimes with
+    one entry that fails to post."""
+    ledger = draw(ledgers)
+    journal = draw(support.journals(ledger))
+    if draw(st.booleans()):
+        bad = draw(support.invalid_entries(ledger))
+        journal.insert(draw(st.integers(0, len(journal))), bad)
+    return ledger, journal
+
+
+BOOKS_WITH_A_FAILURE = books_with_a_failure()
+
+
+def outcome(call) -> tuple:
+    """The result of `call()` or the parts of its error that name the
+    failure, and the messages of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except PostingError as exc:
+            result = exc.entry_index, exc.report, exc.entry
+        except TableError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None)
+@given(BOOKS_WITH_A_FAILURE)
+def test_entries_and_rows_net_alike(book):
+    # An entry unpacks as the grammar's row, so `journal_to_signed` and
+    # `build_table` of entries, of an iterator and of parsed rows agree,
+    # in results, in errors and in warnings.
+    ledger, journal = book
+    for entry in journal:
+        assert tuple(entry) == (entry.description, entry.postings)
+        for p in entry.postings:
+            assert tuple(p) == (p.account, p.side, p.amount.components)
+    inputs = [lambda: journal, lambda: iter(journal)]
+    try:
+        text = render_journal(journal, ledger.dimension)
+    except LedgerError:  # a posting of another dimension has no file form
+        pass
+    else:
+        inputs.append(lambda: _journal(text, ledger.dimension))
+    for consume in (journal_to_signed, build_table):
+        expected = outcome(lambda: consume(journal, ledger))
+        if isinstance(expected[0], tuple):  # a PostingError
+            index, report, entry = expected[0]
+            assert entry == journal[index]
+            assert report == validate_entry(journal[index], ledger)
+        for make in inputs:
+            assert outcome(lambda: consume(make(), ledger)) == expected
 
 
 def test_entries_before_a_syntax_error_are_yielded():
