@@ -43,21 +43,24 @@ def _same_dimension(a, b) -> None:
 @dataclass(frozen=True)
 class _Vec:
     """An ordered tuple of integers (dimension >= 1); the subclasses differ
-    only in whether a component may be negative."""
+    only in whether a component may be negative.  A plain `tuple` argument
+    is kept, not copied; any other iterable is copied to a plain tuple."""
 
     components: tuple[int, ...]
     _signed = True
 
     def __post_init__(self):
-        items = tuple(self.components)
+        items = self.components
+        if type(items) is not tuple:
+            items = tuple(items)
+            object.__setattr__(self, "components", items)
         if not items:
             raise ValueError("a vector needs at least one component")
-        for c in items:
-            if not isinstance(c, int) or isinstance(c, bool):
+        for c in items:  # `type(c) is int` first: it is by far the common case
+            if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
                 raise TypeError(f"vector component {c!r} is not an int")
             if c < 0 and not self._signed:
                 raise ValueError(f"negative component {c} in an unsigned vector")
-        object.__setattr__(self, "components", items)
 
     @classmethod
     def of(cls, *components: int):
@@ -184,7 +187,8 @@ class TTerm:
     credit: NatVec
 
     def __post_init__(self):
-        _same_dimension(self.debit, self.credit)
+        if len(self.debit.components) != len(self.credit.components):
+            _same_dimension(self.debit, self.credit)
 
     @classmethod
     def zero(cls, dimension: int) -> "TTerm":

@@ -7,14 +7,16 @@ writes (or None).  A handler has formatted every number by the time it
 returns (`sss` and `matrix` return the lines of the reports' second pass,
 which only pads them); `post`, `sss` and `matrix` read the journal as a
 stream (`_stream`).  `run_command` alone parses `--ledger`, writes the
-ledger text to `--out` (or after the report), then writes the chunks and
-turns `UserWarning`s into `warning:` lines on stderr.  So a command that
-fails writes only its `error:` line to stderr, nothing to stdout, and
-leaves `--out` as it was.  A reader that closes stdout early ends the
-output, not the command: the exit status is the command's own.
+ledger text to `--out` (or after the report), then writes the chunks in
+blocks of about 64 KiB and turns `UserWarning`s into `warning:` lines on
+stderr.  So a command that fails writes only its `error:` line to stderr,
+nothing to stdout, and leaves `--out` as it was.  A reader that closes
+stdout early ends the output, not the command: the exit status is the
+command's own.  `main`, the process entry, first freezes the import heap.
 """
 
 import argparse
+import gc
 import os
 import sys
 import warnings
@@ -42,6 +44,8 @@ from .table import build_table, net_changes, table_sums
 from .valuation import PriceVector, value_ledger
 
 __all__ = ["build_parser", "run_command", "main"]
+
+_BLOCK = 1 << 16  # characters of stdout per write: 64 KiB of ASCII
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,11 +146,19 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _print(chunks: Iterable[str]) -> None:
-    """Write `chunks` to stdout.  If the reader has closed the pipe, stop,
-    and point stdout at the null device so that the interpreter's last
-    flush does not fail again and print "Exception ignored"."""
+    """Write `chunks` to stdout in blocks of about `_BLOCK` characters, one
+    write each even where stdout is unbuffered.  If the reader has closed the
+    pipe, stop, and point stdout at the null device so that the interpreter's
+    last flush does not fail again and print "Exception ignored"."""
+    block, size = [], 0
     try:
-        sys.stdout.writelines(chunks)
+        for chunk in chunks:
+            block.append(chunk)
+            size += len(chunk)
+            if size >= _BLOCK:
+                sys.stdout.write("".join(block))
+                block, size = [], 0
+        sys.stdout.write("".join(block))
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -266,6 +278,10 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> None:
+    """Run one command and exit with its status.  The import heap is frozen
+    first (`gc.freeze`): the collector, still on, then scans only what the
+    command builds, also at exit.  `run_command` leaves it alone."""
+    gc.freeze()
     sys.exit(run_command(sys.argv[1:] if argv is None else argv))
 
 

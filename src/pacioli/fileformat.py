@@ -35,14 +35,15 @@ may contain spaces but not ``"``, ``#`` or a line break.  The parser checks
 shape only; whether an entry balances is the validator's business.
 
 A journal is read as a stream.  The grammar is one loop, ``_journal``,
-which yields each entry at its ``end`` line as a row: its description and
-a list of ``(account, Side, amount ints)`` posting triples, which is how
-a `JournalEntry` unpacks.  `post`, `journal_to_signed` and `build_table`
-take entries or rows alike; the CLI's ``post``, ``sss`` and ``matrix``
-pass them the rows, building no `NatVec`, `Posting` or `JournalEntry` per
-posting.  :func:`iter_journal` builds one `JournalEntry` from each row, so
-posting a journal never holds its parsed entries as a list (the text and
-its lines are still held whole)::
+which reads each line in one step (no generator between it and the text)
+and yields each entry at its ``end`` line as a row: its description and a
+list of ``(account, Side, amount ints)`` triples, as a `JournalEntry`
+unpacks.  `post`, `journal_to_signed` and `build_table` take entries or
+rows alike; the CLI's ``post``, ``sss`` and ``matrix`` pass them the rows,
+building no `NatVec`, `Posting` or `JournalEntry` per posting.
+:func:`iter_journal` builds one `JournalEntry` from each row, so posting a
+journal never holds its parsed entries as a list (the text and its lines
+are still held whole)::
 
     ended = post(ledger, iter_journal(text))
 
@@ -95,9 +96,9 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}: {message}" if line_no else message)
 
 
-def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, content) with comments and blanks removed."""
-    for i, raw in enumerate(text.splitlines(), start=1):
+def _logical_lines(numbered: Iterator[tuple[int, str]]) -> Iterator[tuple[int, str]]:
+    """Yield `numbered`'s (line number, content) pairs, comments and blanks removed."""
+    for i, raw in numbered:
         if "#" in raw:  # most lines have no comment: skip the split
             raw = raw.split("#", 1)[0]
         line = raw.strip()
@@ -160,7 +161,7 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
     `require_balanced=False` skips the zero-account check so diagnostic
     tools can load a broken file and show where it is off.
     """
-    lines = _logical_lines(text)
+    lines = _logical_lines(enumerate(text.splitlines(), 1))
     dimension = _parse_header(lines, LEDGER_MAGIC)
 
     unit_names: tuple[str, ...] | None = None
@@ -225,16 +226,23 @@ def _journal(text: str, dimension: int | None = None) -> Iterator[tuple[str, lis
     A syntax error is raised when the parse reaches its line, after every
     entry before it has been yielded.  With `dimension`, a journal that
     declares another one fails at its ``dimension`` line.
+
+    One loop reads each line in one step: it cuts the comment, splits and
+    skips a blank line itself (the header goes through `_logical_lines`).
     """
-    lines = _logical_lines(text)
-    dim = _parse_header(lines, JOURNAL_MAGIC, dimension)
+    numbered = enumerate(text.splitlines(), 1)
+    dim = _parse_header(_logical_lines(numbered), JOURNAL_MAGIC, dimension)
 
     description: str | None = None
     postings: list = []
     last_line_no = 0
-    for line_no, line in lines:
-        last_line_no = line_no
+    for line_no, line in numbered:
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
+        last_line_no = line_no
         side = _SIDES.get(tokens[0])  # posting lines first: they are the bulk
         if side is not None:
             if description is None:
@@ -245,7 +253,7 @@ def _journal(text: str, dimension: int | None = None) -> Iterator[tuple[str, lis
         elif tokens[0] == "entry":
             if description is not None:
                 raise ParseError("'entry' before previous entry's 'end'", line_no)
-            match = _ENTRY_RE.match(line)
+            match = _ENTRY_RE.match(line.strip())
             if not match:
                 raise ParseError("expected 'entry \"<description>\"'", line_no)
             description = match.group(1)

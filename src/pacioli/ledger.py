@@ -224,7 +224,8 @@ class JournalEntry:
     postings: tuple[Posting, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "postings", tuple(self.postings))
+        if type(self.postings) is not tuple:
+            object.__setattr__(self, "postings", tuple(self.postings))
 
     def __iter__(self):
         """``(description, postings)``: an entry unpacks as the journal

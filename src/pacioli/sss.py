@@ -12,6 +12,7 @@ Account roles are kept on signed accounts purely so reports can show
 """
 
 from dataclasses import dataclass, replace
+from operator import sub
 from typing import Iterable
 
 from .algebra import DimensionMismatch, IntVec
@@ -97,7 +98,7 @@ def journal_to_signed(
             entry = _entry(description, postings)
             raise PostingError(i, entry, validate_entry(entry, ledger))
         changes = tuple(
-            (name, IntVec(tuple(d - c for d, c in zip(sides, sides[dim:]))))
+            (name, IntVec(tuple(map(sub, sides[:dim], sides[dim:]))))
             for name, sides in sums.items()
         )
         rows.append(SignedRow(description, changes))

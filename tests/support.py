@@ -38,6 +38,16 @@ from pacioli import (
     validate_entry,
 )
 
+from pacioli.fileformat import (
+    _ENTRY_RE,
+    _SIDES,
+    JOURNAL_MAGIC,
+    ParseError,
+    _amounts,
+    _logical_lines,
+    _parse_header,
+)
+
 DATA = Path(__file__).parent / "data"
 
 # The interpreter's int/str digit limit, the bound on every number in a
@@ -352,6 +362,50 @@ def reference_render_signed_report(ledger: SignedLedger, rows=None, ending=None)
         grid.append(["ending", *[str(acc.balance) for acc in ending.accounts]])
         checks.append(f"ending zero-row: {'OK' if ending.is_zero_row() else 'FAIL'}")
     return "\n".join([reference_grid(grid), "", *checks])
+
+
+def reference_journal(text: str, dimension: int | None = None):
+    """The journal grammar as a loop over `_logical_lines`: the oracle for
+    the rows and the `ParseError` of ``fileformat._journal``, which reads
+    each raw line in one step."""
+    lines = _logical_lines(enumerate(text.splitlines(), start=1))
+    dim = _parse_header(lines, JOURNAL_MAGIC, dimension)
+
+    description: str | None = None
+    postings: list = []
+    last_line_no = 0
+    for line_no, line in lines:
+        last_line_no = line_no
+        tokens = line.split()
+        side = _SIDES.get(tokens[0])  # posting lines first: they are the bulk
+        if side is not None:
+            if description is None:
+                raise ParseError(f"{tokens[0]!r} line outside an entry", line_no)
+            if len(tokens) < 2:
+                raise ParseError(f"expected '{tokens[0]} <Account> <amounts>'", line_no)
+            postings.append((tokens[1], side, _amounts(tokens[2:], dim, line_no)))
+        elif tokens[0] == "entry":
+            if description is not None:
+                raise ParseError("'entry' before previous entry's 'end'", line_no)
+            match = _ENTRY_RE.match(line)
+            if not match:
+                raise ParseError("expected 'entry \"<description>\"'", line_no)
+            description = match.group(1)
+            postings = []
+        elif tokens[0] == "end":
+            if description is None:
+                raise ParseError("'end' outside an entry", line_no)
+            if tokens != ["end"]:
+                raise ParseError("unexpected tokens after 'end'", line_no)
+            if not postings:
+                raise ParseError("entry has no postings", line_no)
+            yield description, postings
+            description = None
+            postings = []
+        else:
+            raise ParseError(f"unknown directive {tokens[0]!r}", line_no)
+    if description is not None:
+        raise ParseError(f"entry {description!r} is missing 'end'", last_line_no)
 
 
 # --- deterministic random case builders ---
