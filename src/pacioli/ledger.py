@@ -14,7 +14,6 @@ Ledgers are immutable: `post` and friends return new values.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import DimensionMismatch, IntVec, NatVec, TTerm
@@ -114,7 +113,8 @@ class _Book:
     by the T-term `Ledger` and the signed `SignedLedger`.
 
     Construction checks the dimension, the unit names, that account names
-    are distinct and that every balance has the book's dimension.
+    are distinct and that every balance has the book's dimension, and
+    indexes the accounts by name in the same pass.
     """
 
     dimension: int
@@ -134,23 +134,17 @@ class _Book:
             _check_name(unit, "unit")
         if len(set(self.unit_names)) != len(self.unit_names):
             raise LedgerError("unit names must be distinct")
-        seen = set()
+        by_name = {}
         for acc in self.accounts:
-            if acc.name in seen:
+            if acc.name in by_name:
                 raise LedgerError(f"duplicate account {acc.name!r}")
-            seen.add(acc.name)
+            by_name[acc.name] = acc
             if acc.balance.dimension != self.dimension:
                 raise DimensionMismatch(
                     f"account {acc.name!r} has dimension "
                     f"{acc.balance.dimension}, ledger has {self.dimension}"
                 )
-
-    @cached_property
-    def _by_name(self) -> dict:
-        """Account name -> account, built on the first lookup only, so the
-        ledger copies that `post`, `reduce_ledger` and friends make do not
-        each pay for a map."""
-        return {acc.name: acc for acc in self.accounts}
+        object.__setattr__(self, "_by_name", by_name)
 
     def names(self) -> tuple[str, ...]:
         return tuple(acc.name for acc in self.accounts)
@@ -395,13 +389,15 @@ def _entry(description: str, postings) -> JournalEntry:
     return JournalEntry(description, [Posting(a, s, NatVec(v)) for a, s, v in postings])
 
 
-def _net(postings, ledger: Ledger, sums: dict[str, list[int]]) -> bool:
-    """Add an entry's ``(account, side, components)`` posting triples into
+def _net(i: int, description: str, postings, ledger: Ledger, sums) -> None:
+    """Add entry `i`'s ``(account, side, components)`` posting triples into
     `sums`: account name -> debit components, then credit components, from
     zero, in order of first appearance.
 
-    False, with `sums` partly updated, exactly when `validate_entry` is not
-    ok: an unknown account, a wrong dimension, or debits unequal to credits.
+    The one place a failed entry is reported: exactly when `validate_entry`
+    is not ok (an unknown account, a wrong dimension, or debits unequal to
+    credits), the entry is rebuilt from `description` and `postings` and
+    its :class:`PostingError` raised, with `sums` partly updated.
     """
     dim = ledger.dimension
     known = ledger._by_name
@@ -411,10 +407,10 @@ def _net(postings, ledger: Ledger, sums: dict[str, list[int]]) -> bool:
         acc = sums.get(account)
         if acc is None:
             if account not in known:
-                return False
+                break
             acc = sums[account] = [0] * (2 * dim)
         if len(amount) != dim:
-            return False
+            break
         if side is debit:
             for j, c in enumerate(amount):
                 acc[j] += c
@@ -423,7 +419,11 @@ def _net(postings, ledger: Ledger, sums: dict[str, list[int]]) -> bool:
             for j, c in enumerate(amount):
                 acc[dim + j] += c
                 residual[j] -= c
-    return not any(residual)
+    else:
+        if not any(residual):
+            return
+    entry = _entry(description, postings)
+    raise PostingError(i, entry, validate_entry(entry, ledger))
 
 
 def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
@@ -435,15 +435,13 @@ def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:
 
     `journal` holds entries or the journal grammar's rows, ``(description,
     posting triples)`` pairs, which is how an entry unpacks.  `_net` nets
-    every one into one dict for the whole journal; each touched balance is
-    built once at the end, and `validate_entry` runs only on a failure, on
-    the entry rebuilt from the failing row for its :class:`PostingError`.
+    every one into one dict for the whole journal and raises the failed
+    entry's :class:`PostingError`; each touched balance is built once at
+    the end.
     """
     sums: dict[str, list[int]] = {}
     for i, (description, postings) in enumerate(journal):
-        if not _net(postings, ledger, sums):
-            entry = _entry(description, postings)
-            raise PostingError(i, entry, validate_entry(entry, ledger))
+        _net(i, description, postings, ledger, sums)
     dim = ledger.dimension
     known = ledger._by_name
     balances = {}

@@ -16,8 +16,7 @@ from operator import sub
 from typing import Iterable
 
 from .algebra import DimensionMismatch, IntVec
-from .ledger import JournalEntry, Ledger, LedgerError, PostingError, Side, validate_entry
-from .ledger import _Book, _entry, _net
+from .ledger import JournalEntry, Ledger, LedgerError, Side, _Book, _net
 
 __all__ = [
     "SignedAccount",
@@ -82,21 +81,17 @@ def journal_to_signed(
 ) -> list[SignedRow]:
     """Map each entry to the net signed change per affected account.
 
-    Entries must validate against `ledger`; a failure raises
-    :class:`PostingError`.  Every produced row sums to zero.
-
-    `journal` holds entries or the journal grammar's rows, as `post` takes
-    them.  Each is netted per account by `_net`, in order of first
-    appearance, and each change, debit minus credit, is built as an
-    `IntVec` once.  `validate_entry` runs only to report a failure.
+    Every produced row sums to zero.  `journal` holds entries or the
+    journal grammar's rows, as `post` takes them.  Each is netted per
+    account by `_net`, in order of first appearance, which raises the
+    failed entry's :class:`PostingError`; each change, debit minus credit,
+    is built as an `IntVec` once.
     """
     dim = ledger.dimension
     rows = []
     for i, (description, postings) in enumerate(journal):
         sums: dict[str, list[int]] = {}
-        if not _net(postings, ledger, sums):
-            entry = _entry(description, postings)
-            raise PostingError(i, entry, validate_entry(entry, ledger))
+        _net(i, description, postings, ledger, sums)
         changes = tuple(
             (name, IntVec(tuple(map(sub, sides[:dim], sides[dim:]))))
             for name, sides in sums.items()

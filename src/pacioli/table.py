@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import NatVec, TTerm
-from .ledger import JournalEntry, Ledger, Side, _entry, _net, validate_entry
+from .ledger import JournalEntry, Ledger, PostingError, Side, _net
 
 __all__ = [
     "TableError",
@@ -67,16 +67,18 @@ class TableSums:
     col_sums: tuple[int, ...]
 
 
-def _simple_transfer(description: str, postings, ledger: Ledger) -> tuple[str, str, int]:
-    """Return (debit account, credit account, amount) or raise TableError.
+def _simple_transfer(i: int, description: str, postings, ledger: Ledger):
+    """Return entry `i`'s (debit account, credit account, amount), or raise
+    TableError, also for the failed entry's :class:`PostingError` from `_net`.
 
     The accounts with a nonzero debit (credit) sum from `_net` are the
     debited (credited) ones; the amount is the debited account's debit sum.
     """
     sums: dict[str, list[int]] = {}
-    if not _net(postings, ledger, sums):
-        report = validate_entry(_entry(description, postings), ledger)
-        raise TableError(f"entry {description!r}: {report.problems()}")
+    try:
+        _net(i, description, postings, ledger, sums)
+    except PostingError as exc:
+        raise TableError(f"entry {description!r}: {exc.report.problems()}") from None
     dr_accounts = [name for name, (debit, _) in sums.items() if debit]
     cr_accounts = [name for name, (_, credit) in sums.items() if credit]
     if len(dr_accounts) != 1 or len(cr_accounts) != 1:
@@ -92,8 +94,9 @@ def build_table(journal: Iterable[JournalEntry], ledger: Ledger) -> Transactions
     """Accumulate a journal of simple transfers into the M x M grid.
 
     `journal` holds entries or the journal grammar's rows, as `post` takes
-    them.  Requires a scalar (dimension 1) ledger.  Transfers between an
-    account and itself land on the diagonal and trigger a warning.
+    them.  Requires a scalar (dimension 1) ledger.  A failed entry, whose
+    :class:`PostingError` `_net` raises, is a TableError here.  Transfers
+    between an account and itself land on the diagonal and trigger a warning.
     """
     if ledger.dimension != 1:
         raise TableError(
@@ -102,8 +105,8 @@ def build_table(journal: Iterable[JournalEntry], ledger: Ledger) -> Transactions
     names = ledger.names()
     index = {name: i for i, name in enumerate(names)}
     cells = [[0] * len(names) for _ in names]
-    for description, postings in journal:
-        debited, credited, amount = _simple_transfer(description, postings, ledger)
+    for i, (description, postings) in enumerate(journal):
+        debited, credited, amount = _simple_transfer(i, description, postings, ledger)
         if debited == credited:
             warnings.warn(
                 f"entry {description!r} debits and credits {debited!r}; "

@@ -1,7 +1,7 @@
 """The per-item shortcuts of the CLI's hot paths, each against the plain
 path it stands for: the journal grammar's one-step loop, the vector
-constructor's checks, the block writes to stdout and the frozen import
-heap of the process entry."""
+constructor's checks, the one netting step of every posting path, the
+block writes to stdout and the frozen import heap of the process entry."""
 
 import contextlib
 import gc
@@ -21,17 +21,23 @@ import support
 from pacioli import (
     DimensionMismatch,
     IntVec,
+    JournalEntry,
     NatVec,
     ParseError,
+    Posting,
+    PostingError,
+    Side,
     TTerm,
     journal_to_signed,
     parse_journal,
     parse_ledger,
     signed_post,
     to_signed,
+    validate_entry,
 )
 from pacioli.cli import run_command
 from pacioli.fileformat import _journal
+from pacioli.ledger import _net
 from pacioli.reports import render_signed_report
 
 SRC = Path(pacioli.__file__).resolve().parent.parent  # the package under test
@@ -199,6 +205,62 @@ def test_a_plain_tuple_is_kept():
     components = (3, 4)
     assert NatVec(components).components is components
     assert IntVec(components).components is components
+
+
+# --- the netting step against validate_entry and a per-account fold ---
+
+
+@st.composite
+def net_cases(draw):
+    """A ledger, an entry index and an entry of it, valid or broken in one
+    way, with some zero-amount postings and an account debited and
+    credited alike put in anywhere."""
+    ledger = draw(support.ledgers())
+    entry = draw(st.one_of(
+        support.valid_entries(ledger), support.invalid_entries(ledger)
+    ))
+    postings = list(entry.postings)
+    names = st.sampled_from(ledger.names())
+    zero = NatVec.zeros(ledger.dimension)
+    extra = [Posting(draw(names), draw(st.sampled_from(Side)), zero)
+             for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        name, amount = draw(names), draw(support.natvecs(dim=ledger.dimension))
+        extra += [Posting(name, Side.DR, amount), Posting(name, Side.CR, amount)]
+    for posting in extra:
+        postings.insert(draw(st.integers(0, len(postings))), posting)
+    index = draw(st.integers(0, 10**6))
+    return ledger, index, JournalEntry(entry.description, tuple(postings))
+
+
+NET_CASES = net_cases()
+
+
+@settings(max_examples=50, deadline=None)
+@given(NET_CASES, st.booleans())
+def test_net_returns_exactly_for_a_valid_entry_and_else_raises_its_error(case, rows):
+    # `_net` is the one place a failed entry is reported, for entries and
+    # for the grammar's rows alike; a valid entry nets per account, debits
+    # then credits, in order of first appearance.
+    ledger, index, entry = case
+    postings = [tuple(p) for p in entry.postings] if rows else entry.postings
+    report = validate_entry(entry, ledger)
+    sums = {}
+    try:
+        _net(index, entry.description, postings, ledger, sums)
+    except PostingError as exc:
+        assert not report.ok
+        assert exc.entry_index == index and exc.entry == entry and exc.report == report
+        return
+    assert report.ok
+    dim = ledger.dimension
+    fold = {}
+    for p in entry.postings:
+        sides = fold.setdefault(p.account, [0] * (2 * dim))
+        offset = 0 if p.side is Side.DR else dim
+        for j, c in enumerate(p.amount.components):
+            sides[offset + j] += c
+    assert list(sums.items()) == list(fold.items())
 
 
 # --- stdout in blocks, and the collector ---
