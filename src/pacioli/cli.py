@@ -233,8 +233,7 @@ def _cmd_sss(args, ledger):
 
 
 def _cmd_value(args, ledger):
-    valued = value_ledger(ledger, PriceVector(tuple(args.prices)))
-    return 0, [render_balance_sheet(decode_equation(valued)), "\n"], None
+    return _cmd_report(args, value_ledger(ledger, PriceVector(tuple(args.prices))))
 
 
 def _cmd_close(args, ledger):

@@ -156,8 +156,8 @@ def _parse_header(
 
 
 def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
-    """Parse a ledger file.
-
+    """Parse a ledger file.  Each check that `Ledger` makes runs first, at
+    its own line, so every error is a :class:`ParseError`.
     `require_balanced=False` skips the zero-account check so diagnostic
     tools can load a broken file and show where it is off.
     """
@@ -208,10 +208,7 @@ def parse_ledger(text: str, *, require_balanced: bool = True) -> Ledger:
 
     if unit_names is None:
         raise ParseError("missing 'units' line")
-    try:
-        ledger = Ledger(dimension, unit_names, tuple(accounts))
-    except (LedgerError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
+    ledger = Ledger(dimension, unit_names, tuple(accounts))
     if require_balanced and not ledger.is_balanced():
         residual = _residual_text(ledger.total())
         raise ParseError(f"ledger does not encode a zero-account; {residual}")

@@ -94,9 +94,9 @@ def build_table(journal: Iterable[JournalEntry], ledger: Ledger) -> Transactions
     """Accumulate a journal of simple transfers into the M x M grid.
 
     `journal` holds entries or the journal grammar's rows, as `post` takes
-    them.  Requires a scalar (dimension 1) ledger.  A failed entry, whose
-    :class:`PostingError` `_net` raises, is a TableError here.  Transfers
-    between an account and itself land on the diagonal and trigger a warning.
+    them.  Requires a scalar (dimension 1) ledger.  A failed entry's
+    :class:`PostingError` from `_net` is a TableError.  A self-transfer lands
+    on the diagonal with a warning.  `TransactionsTable` makes the rows tuples.
     """
     if ledger.dimension != 1:
         raise TableError(
@@ -113,7 +113,7 @@ def build_table(journal: Iterable[JournalEntry], ledger: Ledger) -> Transactions
                 "amount lands on the table diagonal"
             )
         cells[index[debited]][index[credited]] += amount
-    return TransactionsTable(names, tuple(tuple(row) for row in cells))
+    return TransactionsTable(names, cells)
 
 
 def table_sums(table: TransactionsTable) -> TableSums:
@@ -124,14 +124,15 @@ def table_sums(table: TransactionsTable) -> TableSums:
 
 
 def net_changes(table: TransactionsTable, ledger: Ledger) -> dict[str, int]:
-    """Signed per-account change: row minus column on the account's side."""
+    """Signed per-account change, row minus column on its side, paired by position."""
     if set(table.account_names) != set(ledger.names()):
         raise TableError("table accounts do not match ledger accounts")
     sums = table_sums(table)
+    pairs = zip(table.account_names, zip(sums.row_sums, sums.col_sums))
+    by_name = dict(reversed([*pairs]))  # reversed: a repeated name keeps its first
     changes = {}
     for acc in ledger.accounts:
-        i = table.index(acc.name)
-        row, col = sums.row_sums[i], sums.col_sums[i]
+        row, col = by_name[acc.name]
         changes[acc.name] = row - col if acc.role is Side.DR else col - row
     return changes
 
@@ -144,12 +145,14 @@ def consistency_check(
     """Does the grid carry exactly the journal's per-account T-term sums?
 
     For every account, ``[row sum // column sum]`` must equal (by cross-sums)
-    the sum of that account's T-terms across the journal.
+    the sum of its T-terms across the journal; an account the grid lacks gives False.
     """
     sums = table_sums(table)
     totals = {name: TTerm.zero(1) for name in table.account_names}
     for entry in journal:
         for name, term in entry.terms_by_account().items():
+            if name not in totals:
+                return False
             totals[name] = totals[name] + term
     for i, name in enumerate(table.account_names):
         from_table = TTerm(NatVec.of(sums.row_sums[i]), NatVec.of(sums.col_sums[i]))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import support
+from pacioli import Ledger, ParseError, parse_ledger
 from pacioli.cli import run_command
 
 COMMANDS = (
@@ -69,6 +70,29 @@ def mutated(draw, kind: str) -> bytes:
                 long = draw(st.sampled_from(LONG_NUMBERS)).encode()
                 data = data[: number.start()] + long + data[number.end() :]
     return data
+
+
+SCALAR_LEDGER = (support.DATA / "scalar.ledger").read_bytes()
+# The account lines twice: `Ledger` would reject the repeated names itself.
+TWICE = SCALAR_LEDGER + b"\n".join(
+    line for line in SCALAR_LEDGER.split(b"\n") if line.startswith(b"account")
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated("ledger"))
+@example(TWICE)
+def test_parse_ledger_fails_only_with_a_parse_error(data):
+    # The parser runs each check `Ledger` makes at its own line first, so a
+    # broken file is a ParseError, never an error from `Ledger` itself.
+    text = data.decode("utf-8", errors="replace")
+    for require_balanced in (True, False):
+        try:
+            ledger = parse_ledger(text, require_balanced=require_balanced)
+        except Exception as exc:
+            assert type(exc) is ParseError, repr(exc)
+        else:
+            assert type(ledger) is Ledger
 
 
 @st.composite

@@ -9,6 +9,7 @@ from hypothesis import given
 
 import support
 from pacioli import (
+    DimensionMismatch,
     JournalEntry,
     NatVec,
     Posting,
@@ -150,6 +151,20 @@ def test_consistency_detects_tampering(scalar_ledger, scalar_journal):
     cells[0][1] += 1
     tampered = TransactionsTable(table.account_names, tuple(tuple(r) for r in cells))
     assert not consistency_check(tampered, scalar_journal, scalar_ledger)
+
+
+def test_consistency_is_false_for_an_account_the_grid_lacks(scalar_ledger):
+    # The grid cannot carry the sums of an account it has no row for; an
+    # amount of another dimension is still a DimensionMismatch.
+    table = build_table([], scalar_ledger)
+    stray = transfer("stray", "Assets", "Nope", 5)
+    assert not consistency_check(table, [stray], scalar_ledger)
+    wide = JournalEntry(
+        "wide",
+        (Posting("Assets", Side.DR, nv(5, 0)), Posting("Equity", Side.CR, nv(5, 0))),
+    )
+    with pytest.raises(DimensionMismatch):
+        consistency_check(table, [wide], scalar_ledger)
 
 
 def test_grand_total_balances_on_random_journals():
