@@ -371,10 +371,12 @@ def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
             continue
         for j, c in enumerate(amount):
             side[j] += c
-    warnings = tuple(
-        f"account {name!r} is both debited and credited"
-        for name in sorted(dr_accounts & cr_accounts)
-    )
+    both = dr_accounts & cr_accounts  # rare: the warnings are built only then
+    warnings = ()
+    if both:
+        warnings = tuple(
+            f"account {name!r} is both debited and credited" for name in sorted(both)
+        )
     return EntryValidation(
         ok=not unknown and not mismatched and debit == credit,
         unknown_accounts=tuple(unknown),

@@ -4,10 +4,16 @@ signed-ledger views.  A number past the int/str digit limit raises the
 
 The two grid reports run in two passes.  `iter_table_report` and
 `iter_signed_report` make the first before they return: they format every
-cell through ``_text``, the only step that can fail, and take the column
-widths.  The lines they return come from the second pass, which pads each
-line as it is read, so a caller can write the report without holding it.
-`render_table_report` and `render_signed_report` are those lines joined.
+cell through ``_text`` and take the column widths.  The lines they return
+come from the second pass, which pads each line as it is read, so a caller
+can write the report without holding it.  `render_table_report` and
+`render_signed_report` are those lines joined.
+
+`iter_signed_report` also takes its zero-row verdicts before it returns,
+after the cells it checks are formatted: the beginning and ending ledgers'
+(`SignedLedger.is_zero_row`) and, up to the first FAIL, each transaction
+row's (`SignedRow.is_zero`), all netted on plain ints by
+``sss.zero_row_check``.
 """
 
 from itertools import chain
@@ -34,32 +40,29 @@ def _grid_lines(rows: Iterable[Iterable[tuple[int, str]]]) -> Iterator[str]:
     Each row is an iterable of ``(column, text)`` pairs; a column the row
     leaves out is blank, and a column it names twice shows the last text.
     Widths come from the shown cells only.  The rows are read and measured
-    now; each line is built when the returned iterator reaches it, from
-    slices of one blank line between the row's own cells.
+    now; each line is built when the returned iterator reaches it.
     """
     rows = [dict(row) for row in rows]
     widths: dict[int, int] = {}
     for row in rows:
         for column, text in row.items():
-            widths[column] = max(widths.get(column, 0), len(text))
+            if len(text) > widths.get(column, -1):
+                widths[column] = len(text)
     ends, end = [], -2  # ends[i]: the offset just past column i
     for column in range(max(widths, default=-1) + 1):
         end += 2 + widths.get(column, 0)
         ends.append(end)
-    return _aligned(rows, ends, " " * end)
+    return _aligned(rows, ends)
 
 
-def _aligned(
-    rows: list[dict[int, str]], ends: list[int], blank: str
-) -> Iterator[str]:
-    """The second pass of `_grid_lines`: each row's line, its cells padded
-    by slices of `blank` and right-aligned at `ends` (the first, left)."""
+def _aligned(rows: list[dict[int, str]], ends: list[int]) -> Iterator[str]:
+    """The second pass of `_grid_lines`: each row's line, its cells
+    right-aligned at `ends` (the first, left)."""
     for row in rows:
         pieces, at = [], 0
         for column, text in sorted(row.items()):
             if column:
-                start = ends[column] - len(text)
-                pieces += blank[at:start], text
+                pieces.append(text.rjust(ends[column] - at))
                 at = ends[column]
             else:
                 pieces.append(text)
@@ -161,27 +164,20 @@ def iter_signed_report(
 
     A transaction row shows only the accounts it changes, the last change
     where it names one twice; a change to an account not in `ledger` is not
-    shown.
+    shown, but counts in the row's zero check.
     """
     column = {name: i for i, name in enumerate(ledger.names(), start=1)}
     grid = [enumerate(["", *column]), _balance_row("beginning", ledger)]
     checks = [f"beginning zero-row: {'OK' if ledger.is_zero_row() else 'FAIL'}"]
     if rows is not None:
         for i, row in enumerate(rows, start=1):
-            grid.append(
-                [
-                    (0, f"{i}. {row.description}"),
-                    *(
-                        (column[name], _text(change, _AMOUNT, name))
-                        for name, change in row.changes
-                        if name in column
-                    ),
-                ]
-            )
-        checks.append(
-            "transaction zero-rows: "
-            + ("OK" if all(row.is_zero() for row in rows) else "FAIL")
-        )
+            cells = [(0, f"{i}. {row.description}")]
+            for name, change in row.changes:
+                if name in column:
+                    cells.append((column[name], _text(change, _AMOUNT, name)))
+            grid.append(cells)
+        zero = all(row.is_zero() for row in rows)
+        checks.append(f"transaction zero-rows: {'OK' if zero else 'FAIL'}")
     if ending is not None:
         grid.append(_balance_row("ending", ending))
         checks.append(f"ending zero-row: {'OK' if ending.is_zero_row() else 'FAIL'}")

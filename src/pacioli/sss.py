@@ -9,13 +9,18 @@ start and the same transactions; the commuting-square tests pin that down.
 
 Account roles are kept on signed accounts purely so reports can show
 ``A = L + E`` instead of the internal ``A - L - E = 0`` form.
+
+Zero-row checks: `signed_post` sums each row it posts in its own pass.
+`zero_row_check` nets any vectors on plain ints; `SignedLedger.is_zero_row`
+and `SignedRow.is_zero` go through it, and ``reports.iter_signed_report``
+calls them on the beginning and ending ledgers and on each row.
 """
 
 from dataclasses import dataclass, replace
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable
 
-from .algebra import DimensionMismatch, IntVec
+from .algebra import DimensionMismatch, IntVec, _same_dimension
 from .ledger import JournalEntry, Ledger, LedgerError, Side, _Book, _net
 
 __all__ = [
@@ -55,16 +60,26 @@ class SignedRow:
     changes: tuple[tuple[str, IntVec], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "changes", tuple(tuple(c) for c in self.changes))
+        object.__setattr__(self, "changes", tuple(map(tuple, self.changes)))
 
     def is_zero(self) -> bool:
-        return zero_row_check(v for _, v in self.changes)
+        return zero_row_check(map(itemgetter(1), self.changes))
 
 
 def zero_row_check(vectors: Iterable[IntVec]) -> bool:
-    """True iff the signed sum of `vectors` is zero (vacuously for none)."""
-    vectors = tuple(vectors)
-    return not vectors or IntVec.total(vectors, vectors[0].dimension).is_zero()
+    """True iff the signed sum of `vectors` is zero (vacuously for none).
+    One pass on plain ints from the first vector's components, building no
+    vector; one of another dimension raises `DimensionMismatch`."""
+    vectors = iter(vectors)
+    for first in vectors:
+        total = list(first.components)
+        for v in vectors:
+            if len(v.components) != len(total):
+                _same_dimension(first, v)
+            for j, c in enumerate(v.components):
+                total[j] += c
+        return not any(total)
+    return True
 
 
 def to_signed(ledger: Ledger) -> SignedLedger:
@@ -92,10 +107,10 @@ def journal_to_signed(
     for i, (description, postings) in enumerate(journal):
         sums: dict[str, list[int]] = {}
         _net(i, description, postings, ledger, sums)
-        changes = tuple(
+        changes = [
             (name, IntVec(tuple(map(sub, sides[:dim], sides[dim:]))))
             for name, sides in sums.items()
-        )
+        ]
         rows.append(SignedRow(description, changes))
     return rows
 
@@ -123,12 +138,13 @@ def signed_post(ledger: SignedLedger, rows: Iterable[SignedRow]) -> SignedLedger
                 if name not in known:
                     raise LedgerError(f"row {i}: unknown account {name!r}")
                 balance = sums[name] = list(known[name].balance.components)
-            if change.dimension != dim:
+            components = change.components
+            if len(components) != dim:
                 raise DimensionMismatch(
                     f"row {i}: change for {name!r} has dimension "
                     f"{change.dimension}, ledger has {dim}"
                 )
-            for j, c in enumerate(change.components):
+            for j, c in enumerate(components):
                 balance[j] += c
                 residual[j] += c
         if any(residual):

@@ -37,7 +37,8 @@ class TableError(ValueError):
 
 @dataclass(frozen=True)
 class TransactionsTable:
-    """Square grid of unsigned amounts; cell (i, j) debits i and credits j."""
+    """Square grid of unsigned amounts; cell (i, j) debits i and credits j.
+    The account names are distinct."""
 
     account_names: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]
@@ -50,6 +51,8 @@ class TransactionsTable:
             raise TableError(f"cells must form a {m}x{m} grid")
         if any(cell < 0 for row in self.cells for cell in row):
             raise TableError("cells must be unsigned")
+        if len(set(self.account_names)) != m:
+            raise TableError("account names must be distinct")
 
     def index(self, name: str) -> int:
         try:
@@ -128,8 +131,7 @@ def net_changes(table: TransactionsTable, ledger: Ledger) -> dict[str, int]:
     if set(table.account_names) != set(ledger.names()):
         raise TableError("table accounts do not match ledger accounts")
     sums = table_sums(table)
-    pairs = zip(table.account_names, zip(sums.row_sums, sums.col_sums))
-    by_name = dict(reversed([*pairs]))  # reversed: a repeated name keeps its first
+    by_name = dict(zip(table.account_names, zip(sums.row_sums, sums.col_sums)))
     changes = {}
     for acc in ledger.accounts:
         row, col = by_name[acc.name]

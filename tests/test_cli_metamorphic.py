@@ -2,12 +2,14 @@
 the output of one command run to another's, so they need no oracle.
 
 Each command runs in-process through `run_command`, on a balanced ledger
-(a `support.ledgers()` draw plus one account holding the negated total)
-and journals from `support.journals`, written out as files.
+(a `support.ledgers()` draw plus one account, Z, holding the negated
+total) and journals from `support.journals` or, for `matrix`, of simple
+transfers, written out as files.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,7 +17,17 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import support
-from pacioli import Account, Ledger, Side, TTerm, render_journal, render_ledger
+from pacioli import (
+    Account,
+    JournalEntry,
+    Ledger,
+    NatVec,
+    Posting,
+    Side,
+    TTerm,
+    render_journal,
+    render_ledger,
+)
 from pacioli.cli import run_command
 
 
@@ -34,6 +46,29 @@ BOOKS = support.ledgers().map(balanced).flatmap(
 )
 
 
+def simple_transfers(ledger: Ledger):
+    """Journals `matrix` can place: each entry moves 1-1000 from one account
+    to another."""
+    names = st.sampled_from(ledger.names())
+    pair = st.lists(names, min_size=2, max_size=2, unique=True)
+    transfer = st.tuples(pair, st.integers(1, 1000)).map(
+        lambda t: JournalEntry(
+            "t",
+            (
+                Posting(t[0][0], Side.DR, NatVec.of(t[1])),
+                Posting(t[0][1], Side.CR, NatVec.of(t[1])),
+            ),
+        )
+    )
+    return st.lists(transfer, max_size=8)
+
+
+# A balanced scalar ledger and a journal of simple transfers on it.
+SCALAR_BOOKS = support.ledgers(max_dim=1).map(balanced).flatmap(
+    lambda ledger: st.tuples(st.just(ledger), simple_transfers(ledger))
+)
+
+
 def run(*argv) -> str:
     """The stdout of a command that must succeed, with nothing on stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -49,6 +84,16 @@ def row(report: str, label: str) -> list[str]:
     grid = report.split("\n\n", 1)[0].splitlines()
     (line,) = (line for line in grid if line.split()[:1] == [label])
     return line.split()[1:]
+
+
+def balances(report: str) -> dict[str, tuple[int, ...]]:
+    """The balance per name in `report`'s two lines: names over values, the
+    terms parted by " + " and " = " (a vector reads "(1, -2)")."""
+    names, values = (re.split(r" [+=] ", line) for line in report.splitlines())
+    return {
+        name.strip(): tuple(int(c) for c in value.strip(" ()").split(","))
+        for name, value in zip(names, values)
+    }
 
 
 @settings(max_examples=20, deadline=None)
@@ -86,3 +131,46 @@ def test_posting_two_journals_in_turn_is_posting_them_joined(book):
         in_turn = post(post(start, first, "e1"), second, "e2")
         joined = post(start, first + second, "e12")
         assert in_turn.read_bytes() == joined.read_bytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(SCALAR_BOOKS)
+def test_matrix_net_changes_are_the_report_differences_of_post(book):
+    ledger, journal = book
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger_path, journal_path = Path(tmp, "in.ledger"), Path(tmp, "in.journal")
+        ended = Path(tmp, "ended.ledger")
+        ledger_path.write_text(render_ledger(ledger))
+        journal_path.write_text(render_journal(journal, ledger.dimension))
+        books = ["--ledger", ledger_path, "--journal", journal_path]
+        table = run("matrix", *books)
+        run("post", *books, "--out", ended)
+        before = balances(run("report", "--ledger", ledger_path))
+        after = balances(run("report", "--ledger", ended))
+    lines = table.splitlines()
+    changes = [line.split() for line in lines[lines.index("net changes:") + 1 :]]
+    assert [name for name, _, _ in changes] == list(ledger.names())
+    for name, _, change in changes:
+        assert int(change) == after[name][0] - before[name][0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(support.ledgers().map(balanced))
+def test_close_zeroes_the_nominal_accounts_into_equity(ledger):
+    # Closing moves each nominal balance into the equity account Z (on the
+    # credit side): revenue (credit-balance) raises it, expense lowers it.
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger_path, closed = Path(tmp, "in.ledger"), Path(tmp, "closed.ledger")
+        ledger_path.write_text(render_ledger(ledger))
+        run("close", "--ledger", ledger_path, "--equity", "Z", "--out", closed)
+        before = balances(run("report", "--ledger", ledger_path))
+        after = balances(run("report", "--ledger", closed))
+    moved = [0] * ledger.dimension
+    for acc in ledger.accounts:
+        if acc.nominal:
+            assert after[acc.name] == (0,) * ledger.dimension
+            sign = 1 if acc.role is Side.CR else -1
+            moved = [m + sign * c for m, c in zip(moved, before[acc.name])]
+        elif acc.name != "Z":
+            assert after[acc.name] == before[acc.name]
+    assert [a - b for a, b in zip(after["Z"], before["Z"])] == moved

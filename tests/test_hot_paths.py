@@ -117,8 +117,9 @@ def mutate(lines: list[str], mutations) -> list[str]:
         elif kind == "bad amount" and postings:
             j = postings[at % len(postings)]
             tokens = lines[j].split()
-            tokens[2 + at % (len(tokens) - 2)] = bad
-            lines[j] = " ".join(tokens)
+            if len(tokens) > 2:  # "short" may have cut every amount
+                tokens[2 + at % (len(tokens) - 2)] = bad
+                lines[j] = " ".join(tokens)
         elif kind == "short" and postings:
             j = postings[at % len(postings)]
             lines[j] = lines[j].rsplit(None, 1)[0]

@@ -24,6 +24,7 @@ from pacioli import (
     signed_post,
     table_sums,
     to_signed,
+    zero_row_check,
 )
 from pacioli.reports import _grid, render_signed_report, render_table_report
 
@@ -248,3 +249,86 @@ def test_total_rejects_another_dimension():
     with pytest.raises(DimensionMismatch) as want:
         support.reference_total(vectors, 2)
     assert str(got.value) == str(want.value)
+
+
+# --- the zero-row checks, alone and inside the signed report ---
+
+
+@st.composite
+def zero_row_vectors(draw) -> list[IntVec]:
+    """0-5 vectors of one dimension (1-3), small enough that some sum to
+    zero, sometimes with one of another dimension put in anywhere."""
+    dim = draw(st.integers(1, 3))
+    vectors = draw(st.lists(support.intvecs(dim, limit=2), max_size=5))
+    if vectors and draw(st.booleans()):
+        vectors.append(-IntVec.total(vectors, dim))  # a zero sum
+    if draw(st.booleans()):
+        other = draw(st.integers(1, 3).filter(lambda d: d != dim))
+        at = draw(st.integers(0, len(vectors)))
+        vectors.insert(at, draw(support.intvecs(other, limit=2)))
+    return vectors
+
+
+def reference_zero_row(vectors: list[IntVec]) -> bool:
+    """A fold from the first vector's dimension; True for no vectors."""
+    if not vectors:
+        return True
+    return support.reference_total(vectors, vectors[0].dimension).is_zero()
+
+
+@given(zero_row_vectors())
+def test_zero_row_checks_match_a_fold(vectors):
+    want = outcome(reference_zero_row, vectors)
+    row = SignedRow("r", tuple((f"A{i}", v) for i, v in enumerate(vectors)))
+    got = [
+        outcome(zero_row_check, vectors),
+        outcome(zero_row_check, iter(vectors)),
+        outcome(row.is_zero),
+    ]
+    if type(want) is bool:  # a ledger holds one dimension only
+        dim = vectors[0].dimension if vectors else 1
+        accounts = tuple(SignedAccount(name, Side.DR, v) for name, v in row.changes)
+        ledger = SignedLedger(dim, tuple(f"u{k}" for k in range(dim)), accounts)
+        got.append(ledger.is_zero_row())
+    assert all(type(g) is type(want) and g == want for g in got), (got, want)
+
+
+def test_zero_row_check_names_the_first_dimension_then_the_other():
+    vectors = [IntVec.of(1), IntVec.of(-1), IntVec.of(0, 0)]
+    mismatch = (DimensionMismatch, "dimension mismatch: 1 vs 2")
+    assert outcome(zero_row_check, vectors) == mismatch
+    assert outcome(reference_zero_row, vectors) == mismatch
+
+
+SCALAR = SignedLedger(
+    1,
+    ("usd",),
+    (
+        SignedAccount("A", Side.DR, IntVec.of(0)),
+        SignedAccount("B", Side.CR, IntVec.of(0)),
+    ),
+)
+# A row whose changes mix dimensions: its zero check raises.
+MIXED = SignedRow("mixed", (("A", IntVec.of(1)), ("B", IntVec.of(-1, 0))))
+
+
+def test_signed_report_stops_checking_rows_at_the_first_nonzero_row():
+    # The mixed row after a nonzero one is never summed, so it cannot raise.
+    nonzero = SignedRow("off", (("A", IntVec.of(5)),))
+    text = render_signed_report(SCALAR, [nonzero, MIXED])
+    assert text.splitlines()[-1] == "transaction zero-rows: FAIL"
+    zero = SignedRow("ok", (("A", IntVec.of(5)), ("B", IntVec.of(-5))))
+    with pytest.raises(DimensionMismatch, match="^dimension mismatch: 1 vs 2$"):
+        render_signed_report(SCALAR, [zero, MIXED])
+
+
+@support.needs_digit_limit
+@pytest.mark.parametrize("mixed_first", [False, True])
+def test_signed_report_formats_every_cell_before_a_zero_check_raises(mixed_first):
+    # A cell past the digit limit is the error, before or after the row
+    # whose zero check raises `DimensionMismatch`.
+    huge = 10 ** (support.DIGIT_LIMIT + 1)
+    wide = SignedRow("wide", (("A", IntVec.of(huge)), ("B", IntVec.of(-huge))))
+    rows = [MIXED, wide] if mixed_first else [wide, MIXED]
+    got = outcome(render_signed_report, SCALAR, rows)
+    assert got == (LedgerError, "account 'A': an amount past the int/str digit limit")

@@ -130,6 +130,15 @@ def test_table_construction_errors():
         table.index("Z")
 
 
+def test_table_rejects_a_repeated_account_name():
+    # With "Assets" twice, `net_changes` would net only one of its rows.
+    names = ("Assets", "Equity", "Liabilities", "Assets")
+    cells = [[0] * 4 for _ in names]
+    cells[3][0] = 7
+    with pytest.raises(TableError, match="distinct"):
+        TransactionsTable(names, cells)
+
+
 def test_net_changes_rejects_mismatched_accounts(scalar_ledger):
     table = TransactionsTable(("X", "Y"), ((0, 0), (0, 0)))
     with pytest.raises(TableError, match="match"):
