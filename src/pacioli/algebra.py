@@ -40,6 +40,18 @@ def _same_dimension(a, b) -> None:
         )
 
 
+def _signed_sum(vectors: Iterable["_Vec"], dimension: int) -> list[int]:
+    """The componentwise sum of `vectors` as plain ints, `dimension` zeros
+    if empty; a vector of another dimension raises `DimensionMismatch`."""
+    result = [0] * dimension
+    for v in vectors:
+        if len(v.components) != dimension:
+            raise DimensionMismatch(f"dimension mismatch: {dimension} vs {v.dimension}")
+        for j, c in enumerate(v.components):
+            result[j] += c
+    return result
+
+
 @dataclass(frozen=True)
 class _Vec:
     """An ordered tuple of integers (dimension >= 1); the subclasses differ
@@ -129,17 +141,10 @@ class IntVec(_Vec):
     def total(cls, vectors: Iterable["IntVec"], dimension: int) -> "IntVec":
         """Signed sum of `vectors`; the zero vector of `dimension` if empty.
 
-        One pass on plain ints: the sum is built as a vector once, at the end.
+        One pass on plain ints (`_signed_sum`): the sum is built as a vector
+        once, at the end.
         """
-        result = [0] * dimension
-        for v in vectors:
-            if v.dimension != dimension:
-                raise DimensionMismatch(
-                    f"dimension mismatch: {dimension} vs {v.dimension}"
-                )
-            for j, c in enumerate(v.components):
-                result[j] += c
-        return cls(tuple(result))
+        return cls(tuple(_signed_sum(vectors, dimension)))
 
     def __sub__(self, other: "IntVec") -> "IntVec":
         _same_dimension(self, other)

@@ -372,11 +372,9 @@ def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
         for j, c in enumerate(amount):
             side[j] += c
     both = dr_accounts & cr_accounts  # rare: the warnings are built only then
-    warnings = ()
-    if both:
-        warnings = tuple(
-            f"account {name!r} is both debited and credited" for name in sorted(both)
-        )
+    warnings = () if not both else tuple(
+        f"account {name!r} is both debited and credited" for name in sorted(both)
+    )
     return EntryValidation(
         ok=not unknown and not mismatched and debit == credit,
         unknown_accounts=tuple(unknown),

@@ -46,8 +46,7 @@ def _grid_lines(rows: Iterable[Iterable[tuple[int, str]]]) -> Iterator[str]:
     widths: dict[int, int] = {}
     for row in rows:
         for column, text in row.items():
-            if len(text) > widths.get(column, -1):
-                widths[column] = len(text)
+            widths[column] = max(widths.get(column, 0), len(text))
     ends, end = [], -2  # ends[i]: the offset just past column i
     for column in range(max(widths, default=-1) + 1):
         end += 2 + widths.get(column, 0)

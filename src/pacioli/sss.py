@@ -17,10 +17,11 @@ calls them on the beginning and ending ledgers and on each row.
 """
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import itemgetter, sub
 from typing import Iterable
 
-from .algebra import DimensionMismatch, IntVec, _same_dimension
+from .algebra import DimensionMismatch, IntVec, _signed_sum
 from .ledger import JournalEntry, Ledger, LedgerError, Side, _Book, _net
 
 __all__ = [
@@ -68,17 +69,12 @@ class SignedRow:
 
 def zero_row_check(vectors: Iterable[IntVec]) -> bool:
     """True iff the signed sum of `vectors` is zero (vacuously for none).
-    One pass on plain ints from the first vector's components, building no
-    vector; one of another dimension raises `DimensionMismatch`."""
+    One pass on plain ints at the first vector's dimension (the fold of
+    `IntVec.total`), building no vector; one of another dimension raises
+    `DimensionMismatch`."""
     vectors = iter(vectors)
     for first in vectors:
-        total = list(first.components)
-        for v in vectors:
-            if len(v.components) != len(total):
-                _same_dimension(first, v)
-            for j, c in enumerate(v.components):
-                total[j] += c
-        return not any(total)
+        return not any(_signed_sum(chain([first], vectors), first.dimension))
     return True
 
 
@@ -138,13 +134,12 @@ def signed_post(ledger: SignedLedger, rows: Iterable[SignedRow]) -> SignedLedger
                 if name not in known:
                     raise LedgerError(f"row {i}: unknown account {name!r}")
                 balance = sums[name] = list(known[name].balance.components)
-            components = change.components
-            if len(components) != dim:
+            if change.dimension != dim:
                 raise DimensionMismatch(
                     f"row {i}: change for {name!r} has dimension "
                     f"{change.dimension}, ledger has {dim}"
                 )
-            for j, c in enumerate(components):
+            for j, c in enumerate(change.components):
                 balance[j] += c
                 residual[j] += c
         if any(residual):

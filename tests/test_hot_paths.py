@@ -117,9 +117,11 @@ def mutate(lines: list[str], mutations) -> list[str]:
         elif kind == "bad amount" and postings:
             j = postings[at % len(postings)]
             tokens = lines[j].split()
-            if len(tokens) > 2:  # "short" may have cut every amount
+            if len(tokens) > 2:
                 tokens[2 + at % (len(tokens) - 2)] = bad
-                lines[j] = " ".join(tokens)
+            else:  # "short" has cut every amount: the bad one is appended
+                tokens.append(bad)
+            lines[j] = " ".join(tokens)
         elif kind == "short" and postings:
             j = postings[at % len(postings)]
             lines[j] = lines[j].rsplit(None, 1)[0]
