@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .algebra import DimensionMismatch, IntVec, NatVec, TTerm
+from .algebra import DimensionMismatch, IntVec, NatVec, TTerm, _signed_sum
 
 __all__ = [
     "Side",
@@ -169,14 +169,10 @@ class Ledger(_Book):
     """
 
     def total(self) -> TTerm:
-        """The sum of every balance, both sides added in one pass on ints."""
-        debit = [0] * self.dimension
-        credit = [0] * self.dimension
-        for acc in self.accounts:
-            for j, c in enumerate(acc.balance.debit.components):
-                debit[j] += c
-            for j, c in enumerate(acc.balance.credit.components):
-                credit[j] += c
+        """The sum of every balance: the debit sides and the credit sides
+        each folded on plain ints (`_signed_sum`), built as vectors once."""
+        debit = _signed_sum((a.balance.debit for a in self.accounts), self.dimension)
+        credit = _signed_sum((a.balance.credit for a in self.accounts), self.dimension)
         return TTerm(NatVec(tuple(debit)), NatVec(tuple(credit)))
 
     def is_balanced(self) -> bool:
@@ -218,8 +214,7 @@ class JournalEntry:
     postings: tuple[Posting, ...]
 
     def __post_init__(self):
-        if type(self.postings) is not tuple:
-            object.__setattr__(self, "postings", tuple(self.postings))
+        object.__setattr__(self, "postings", tuple(self.postings))
 
     def __iter__(self):
         """``(description, postings)``: an entry unpacks as the journal
@@ -322,19 +317,16 @@ class TrialBalance:
 
 
 def encode_equation(
-    eq: BalanceSheetEquation,
-    unit_names: Sequence[str] | None = None,
-    dimension: int | None = None,
+    eq: BalanceSheetEquation, unit_names: Sequence[str] | None = None
 ) -> Ledger:
     """Encode a balanced equation as a ledger summing to the zero T-term.
 
     Left-hand terms become debit-balance accounts, right-hand terms
-    credit-balance accounts.  `unit_names` default to "u1".."un";
-    `dimension` is inferred from the terms (needed only for the empty
-    equation, where it defaults to 1).  `Ledger` construction rejects
-    duplicate names and terms of another dimension.
+    credit-balance accounts.  The dimension is the terms' (1 for the empty
+    equation), and `unit_names` default to "u1".."un".  `Ledger`
+    construction rejects duplicate names and terms of another dimension.
     """
-    dim = dimension if dimension is not None else (eq.dimension() or 1)
+    dim = eq.dimension() or 1
     if not eq.balances():
         raise LedgerError("equation does not balance; cannot encode")
     if unit_names is None:

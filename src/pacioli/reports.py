@@ -155,20 +155,22 @@ def _balance_row(label: str, ledger: SignedLedger):
 
 def iter_signed_report(
     ledger: SignedLedger,
-    rows: list[SignedRow] | None = None,
+    rows: Iterable[SignedRow] | None = None,
     ending: SignedLedger | None = None,
 ) -> Iterator[str]:
     """The lines of the single-sided signed view; with journal rows, the
     full posting table.  Every cell is formatted before this returns.
 
-    A transaction row shows only the accounts it changes, the last change
-    where it names one twice; a change to an account not in `ledger` is not
-    shown, but counts in the row's zero check.
+    `rows` is read once, into a list, so a one-shot iterator gets the same
+    zero-row verdict as a list.  A transaction row shows only the accounts
+    it changes, the last change where it names one twice; a change to an
+    account not in `ledger` is not shown, but counts in the row's zero check.
     """
     column = {name: i for i, name in enumerate(ledger.names(), start=1)}
     grid = [enumerate(["", *column]), _balance_row("beginning", ledger)]
     checks = [f"beginning zero-row: {'OK' if ledger.is_zero_row() else 'FAIL'}"]
     if rows is not None:
+        rows = list(rows)
         for i, row in enumerate(rows, start=1):
             cells = [(0, f"{i}. {row.description}")]
             for name, change in row.changes:
@@ -185,7 +187,7 @@ def iter_signed_report(
 
 def render_signed_report(
     ledger: SignedLedger,
-    rows: list[SignedRow] | None = None,
+    rows: Iterable[SignedRow] | None = None,
     ending: SignedLedger | None = None,
 ) -> str:
     """The lines of `iter_signed_report`, joined."""

@@ -69,6 +69,14 @@ def test_encode_empty_equation():
     assert trial_balance(ledger).balanced
 
 
+def test_encode_equation_infers_its_dimension_and_units():
+    empty = encode_equation(BalanceSheetEquation((), ()))
+    assert (empty.dimension, empty.unit_names) == (1, ("u1",))
+    eq = BalanceSheetEquation(lhs=(("A", iv(1, 2, 3)),), rhs=(("B", iv(1, 2, 3)),))
+    ledger = encode_equation(eq)
+    assert (ledger.dimension, ledger.unit_names) == (3, ("u1", "u2", "u3"))
+
+
 def test_encode_rejects_unbalanced():
     eq = BalanceSheetEquation(lhs=(("A", iv(5)),), rhs=(("B", iv(4)),))
     with pytest.raises(LedgerError, match="balance"):

@@ -332,3 +332,11 @@ def test_signed_report_formats_every_cell_before_a_zero_check_raises(mixed_first
     rows = [MIXED, wide] if mixed_first else [wide, MIXED]
     got = outcome(render_signed_report, SCALAR, rows)
     assert got == (LedgerError, "account 'A': an amount past the int/str digit limit")
+
+
+def test_signed_report_gives_a_one_shot_iterator_the_verdict_of_its_list():
+    # The rows are read once: the zero check sees the rows the cells came from.
+    rows = [SignedRow("off", (("A", IntVec.of(5)),))]
+    text = render_signed_report(SCALAR, iter(rows))
+    assert text == render_signed_report(SCALAR, rows)
+    assert text.splitlines()[-1] == "transaction zero-rows: FAIL"
