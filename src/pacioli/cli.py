@@ -40,7 +40,7 @@ from .reports import (
     render_trial_balance,
 )
 from .sss import journal_to_signed, signed_post, to_signed
-from .table import build_table, net_changes, table_sums
+from .table import build_table
 from .valuation import PriceVector, value_ledger
 
 __all__ = ["build_parser", "run_command", "main"]
@@ -218,9 +218,7 @@ def _cmd_report(args, ledger):
 
 def _cmd_matrix(args, ledger):
     table = _stream(args, ledger, lambda journal: build_table(journal, ledger))
-    sums = table_sums(table)
-    changes = net_changes(table, ledger)
-    return 0, _lines(iter_table_report(table, sums, changes, ledger)), None
+    return 0, _lines(iter_table_report(table, ledger)), None
 
 
 def _cmd_sss(args, ledger):

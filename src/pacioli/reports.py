@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from .algebra import TTerm
 from .ledger import _AMOUNT, BalanceSheetEquation, Ledger, TrialBalance, _text
 from .sss import SignedLedger, SignedRow
-from .table import TableSums, TransactionsTable
+from .table import TransactionsTable, net_changes, table_sums
 
 __all__ = [
     "render_balance_sheet",
@@ -80,20 +80,13 @@ def render_balance_sheet(eq: BalanceSheetEquation) -> str:
         return "(empty)"
     lhs = [(name, _text(v, _AMOUNT, name)) for name, v in eq.lhs] or [("0", "0")]
     rhs = [(name, _text(v, _AMOUNT, name)) for name, v in eq.rhs] or [("0", "0")]
-    fields: list[tuple[str | None, str, str]] = []  # (separator, name, value)
-    for i, (name, value) in enumerate(lhs):
-        fields.append((None if i == 0 else "+", name, value))
-    for i, (name, value) in enumerate(rhs):
-        fields.append(("=" if i == 0 else "+", name, value))
-    header = values = ""
-    for sep, name, value in fields:
-        if sep:
-            header += f" {sep} "
-            values += f" {sep} "
+    seps = ["", *[" + "] * (len(lhs) - 1), " = ", *[" + "] * (len(rhs) - 1)]
+    header, values = [], []
+    for sep, (name, value) in zip(seps, lhs + rhs):
         width = max(len(name), len(value))
-        header += name.ljust(width)
-        values += value.rjust(width)
-    return header.rstrip() + "\n" + values.rstrip()
+        header.extend((sep, name.ljust(width)))
+        values.extend((sep, value.rjust(width)))
+    return "".join(header).rstrip() + "\n" + "".join(values).rstrip()
 
 
 def render_trial_balance(tb: TrialBalance) -> str:
@@ -110,13 +103,14 @@ def render_trial_balance(tb: TrialBalance) -> str:
     return "\n".join(lines)
 
 
-def iter_table_report(
-    table: TransactionsTable, sums: TableSums, changes: dict[str, int], ledger: Ledger
-) -> Iterator[str]:
-    """The lines of the grid with its sums, then the net change per account.
-    Every cell is formatted before this returns: a number past the digit
-    limit raises here, naming its row's account (its column's, for a column
-    sum)."""
+def iter_table_report(table: TransactionsTable, ledger: Ledger) -> Iterator[str]:
+    """The lines of the grid with its row and column sums (`table_sums`),
+    then each account's net change (`net_changes`, whose `TableError` raises
+    here).  Every cell is formatted before this returns: a number past the
+    digit limit raises here, naming its row's account (its column's, for a
+    column sum)."""
+    sums = table_sums(table)
+    changes = net_changes(table, ledger)
     names = table.account_names
     last = len(names) + 1
     rows = [enumerate(["Dr.\\Cr.", *names, "(row sum)"])]
@@ -141,11 +135,9 @@ def iter_table_report(
     return chain(_grid_lines(rows), ["", "net changes:"], _grid_lines(change_rows))
 
 
-def render_table_report(
-    table: TransactionsTable, sums: TableSums, changes: dict[str, int], ledger: Ledger
-) -> str:
+def render_table_report(table: TransactionsTable, ledger: Ledger) -> str:
     """The lines of `iter_table_report`, joined."""
-    return "\n".join(iter_table_report(table, sums, changes, ledger))
+    return "\n".join(iter_table_report(table, ledger))
 
 
 def _balance_row(label: str, ledger: SignedLedger):

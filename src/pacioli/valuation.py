@@ -1,10 +1,10 @@
 """Price-vector valuation: collapsing property vectors to scalar value.
 
-Dotting each account's signed property vector with a vector of per-unit
+Dotting each side of each account's T-term with a vector of per-unit
 prices turns a dimension-n property ledger into the ordinary dimension-1
-value ledger.  Prices are exact rationals (stdlib Fraction), so the whole
-pipeline stays exact; the dot product is linear, so valuation commutes
-with posting.
+value ledger; an account's role only decides how its value is read.
+Prices are exact rationals (stdlib Fraction), so the whole pipeline stays
+exact; the dot product is linear, so valuation commutes with posting.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from math import lcm
 from operator import mul
 from typing import Union
 
-from .algebra import DimensionMismatch, IntVec, NatVec
+from .algebra import DimensionMismatch, IntVec, NatVec, TTerm
 from .ledger import Account, Ledger, Side, _text
 
 __all__ = ["PriceVector", "dot_value", "value_ledger"]
@@ -56,34 +56,34 @@ def dot_value(prices: PriceVector, quantities: Union[IntVec, NatVec]) -> Rationa
 def value_ledger(
     ledger: Ledger, prices: PriceVector, unit_name: str = "value"
 ) -> Ledger:
-    """Value every account and re-encode it, yielding a scalar ledger.
+    """Value every account's T-term, yielding a scalar ledger.
 
-    Each balance is decoded on its account's side, dotted with the prices,
-    and encoded back on the same side; account order, roles, and nominal
-    flags carry over, so the zero-account property does too.  Raises if a
-    valuation is not a whole number (balances are integers by construction;
-    pick integral prices or rescale).
+    The prices are dotted with each side of each balance, and the valued
+    balance is the debit value less the credit value, reduced; account
+    order, roles, and nominal flags carry over, so the zero-account property
+    does too.  The role only decides how a value is read: a non-integer
+    value raises, read on its account's own side (balances are integers by
+    construction; pick integral prices or rescale).
     """
     if prices.dimension != ledger.dimension:
         raise DimensionMismatch(
             f"dimension mismatch: {prices.dimension} prices vs "
             f"ledger dimension {ledger.dimension}"
         )
-    # Integer weights over the prices' common denominator: an account's
-    # value is its signed balance dotted with `weights`, over `scale`.
+    # Integer weights over the prices' common denominator: a side's value is
+    # its vector dotted with `weights`, over `scale`.
     scale = lcm(*(p.denominator for p in prices.prices))
     weights = [p.numerator * (scale // p.denominator) for p in prices.prices]
     accounts = []
     for acc in ledger.accounts:
-        d, c = acc.balance.debit.components, acc.balance.credit.components
-        scaled = sum(map(mul, weights, d)) - sum(map(mul, weights, c))
-        if acc.role is Side.CR:
-            scaled = -scaled
-        value, remainder = divmod(scaled, scale)
+        debit = sum(map(mul, weights, acc.balance.debit.components))
+        credit = sum(map(mul, weights, acc.balance.credit.components))
+        value, remainder = divmod(debit - credit, scale)
         if remainder:
+            scaled = credit - debit if acc.role is Side.CR else debit - credit
             owner = "account %r: a non-integer value"
             text = _text(Rational(scaled, scale), owner, acc.name)
             raise ValueError(f"account {acc.name!r} values to non-integer {text}")
-        scalar = IntVec((value,))
-        accounts.append(Account.from_signed(acc.name, acc.role, scalar, acc.nominal))
+        balance = TTerm.from_debit_balance(IntVec((value,)))
+        accounts.append(Account(acc.name, acc.role, balance, acc.nominal))
     return Ledger(1, (unit_name,), tuple(accounts))

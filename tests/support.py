@@ -340,6 +340,28 @@ def reference_render_table_report(table, sums, changes, ledger: Ledger) -> str:
     return "\n".join(out)
 
 
+def reference_render_balance_sheet(eq) -> str:
+    """Separators and padded fields, each string grown term by term."""
+    if not eq.terms():
+        return "(empty)"
+    lhs = [(name, str(v)) for name, v in eq.lhs] or [("0", "0")]
+    rhs = [(name, str(v)) for name, v in eq.rhs] or [("0", "0")]
+    fields = []  # (separator, name, value)
+    for i, (name, value) in enumerate(lhs):
+        fields.append((None if i == 0 else "+", name, value))
+    for i, (name, value) in enumerate(rhs):
+        fields.append(("=" if i == 0 else "+", name, value))
+    header = values = ""
+    for sep, name, value in fields:
+        if sep:
+            header += f" {sep} "
+            values += f" {sep} "
+        width = max(len(name), len(value))
+        header += name.ljust(width)
+        values += value.rjust(width)
+    return header.rstrip() + "\n" + values.rstrip()
+
+
 def reference_render_signed_report(ledger: SignedLedger, rows=None, ending=None) -> str:
     names = ledger.names()
     grid = [["", *names]]

@@ -333,6 +333,28 @@ def test_usage_errors(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["value"], "the following arguments are required: --prices"),
+        (["report", "--journal", "scalar.journal"], "unrecognized arguments"),
+        (["report", "--out", "out.ledger"], "unrecognized arguments"),
+        (["trial-balance", "--out", "out.ledger"], "unrecognized arguments"),
+    ],
+)
+def test_option_missing_or_foreign_to_its_command_is_a_usage_error(
+    data, capsys, argv, message
+):
+    """`value` needs `--prices`; `report` and `trial-balance` take neither
+    `--journal` nor `--out`."""
+    argv = [data / arg if "." in arg else arg for arg in argv]
+    assert run(*argv, "--ledger", data / "scalar.ledger") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert not (data / "out.ledger").exists()
+
+
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "COMMAND" in capsys.readouterr().out

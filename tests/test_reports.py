@@ -4,11 +4,12 @@ support.py)."""
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import support
 from pacioli import (
     Account,
+    BalanceSheetEquation,
     DimensionMismatch,
     IntVec,
     Ledger,
@@ -26,7 +27,12 @@ from pacioli import (
     to_signed,
     zero_row_check,
 )
-from pacioli.reports import _grid, render_signed_report, render_table_report
+from pacioli.reports import (
+    _grid,
+    render_balance_sheet,
+    render_signed_report,
+    render_table_report,
+)
 
 NAMES = ("A1", "A2", "A3", "A4", "A5")
 GHOST = "Ghost"  # never an account of a drawn ledger
@@ -68,6 +74,30 @@ def test_grid_of_sparse_rows_matches_dense_reference(rows):
 
 def test_grid_of_no_rows_is_empty():
     assert _grid([]) == ""
+
+
+# --- the balance sheet ---
+
+# Names of 1-12 letters; scalar values of 1-5 characters (`-1000`), vector
+# values such as `(1, -2)` wider: either may be the wider field of a column.
+term_names = st.text(alphabet="AEqL", min_size=1, max_size=12)
+
+
+@st.composite
+def equations(draw):
+    """Equations that are empty, have one side empty, or several terms a side."""
+    terms = st.lists(
+        st.tuples(term_names, support.intvecs(draw(st.integers(1, 3)))), max_size=4
+    )
+    return BalanceSheetEquation(draw(terms), draw(terms))
+
+
+@example(BalanceSheetEquation((), ()))
+@example(BalanceSheetEquation((), (("Equity", IntVec.of(5)),)))
+@example(BalanceSheetEquation((("Assets", IntVec.of(1, -2)),), ()))
+@given(equations())
+def test_balance_sheet_matches_reference(eq):
+    assert render_balance_sheet(eq) == support.reference_render_balance_sheet(eq)
 
 
 # --- the signed report ---
@@ -144,7 +174,9 @@ def table_cases(draw):
 
 @given(table_cases())
 def test_table_report_matches_reference(case):
-    assert render_table_report(*case) == support.reference_render_table_report(*case)
+    table, _, _, ledger = case
+    expected = support.reference_render_table_report(*case)
+    assert render_table_report(table, ledger) == expected
 
 
 # --- the signed side path on plain ints ---
