@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if out:
             p.add_argument("--out", metavar="FILE", help="write the ledger here")
-        p.set_defaults(handler=handler, balanced=True)
+        p.set_defaults(handler=handler)
         return p
 
     command(
@@ -80,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         journal="required",
         out=True,
     )
-    tb = command("trial-balance", _cmd_trial_balance, "sum debit and credit sides")
-    tb.set_defaults(balanced=False)  # the command that diagnoses a broken file
+    command("trial-balance", _cmd_trial_balance, "sum debit and credit sides")
     command("report", _cmd_report, "decoded balance sheet")
     command(
         "matrix",
@@ -259,7 +258,8 @@ def run_command(argv: Sequence[str]) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always", UserWarning)
             warnings.showwarning = note
-            ledger = parse_ledger(_read(args.ledger), require_balanced=args.balanced)
+            balanced = args.command != "trial-balance"  # it diagnoses a broken file
+            ledger = parse_ledger(_read(args.ledger), require_balanced=balanced)
             status, chunks, ledger_text = args.handler(args, ledger)
         if ledger_text is not None:  # `post` and `close`: `chunks` is a list
             if args.out:

@@ -20,7 +20,8 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .algebra import TTerm
-from .ledger import _AMOUNT, BalanceSheetEquation, Ledger, TrialBalance, _text
+from .ledger import _AMOUNT, BalanceSheetEquation, Ledger, TrialBalance
+from .ledger import _residual_text, _text
 from .sss import SignedLedger, SignedRow
 from .table import TransactionsTable, net_changes, table_sums
 
@@ -99,7 +100,7 @@ def render_trial_balance(tb: TrialBalance) -> str:
         lines.append("BALANCED")
     else:
         residual = TTerm(tb.debit_total, tb.credit_total).reduced()
-        lines.append(f"UNBALANCED, residual {residual}")
+        lines.append("UNBALANCED, " + _residual_text(residual))
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import NatVec, TTerm
-from .ledger import JournalEntry, Ledger, PostingError, Side, _net
+from .ledger import JournalEntry, Ledger, Side, _net
 
 __all__ = [
     "TableError",
@@ -38,7 +38,8 @@ class TableError(ValueError):
 @dataclass(frozen=True)
 class TransactionsTable:
     """Square grid of unsigned amounts; cell (i, j) debits i and credits j.
-    The account names are distinct."""
+    A cell is an int, not a bool, as a `NatVec` component is.  The account
+    names are distinct."""
 
     account_names: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]
@@ -49,16 +50,20 @@ class TransactionsTable:
         m = len(self.account_names)
         if len(self.cells) != m or any(len(row) != m for row in self.cells):
             raise TableError(f"cells must form a {m}x{m} grid")
-        if any(cell < 0 for row in self.cells for cell in row):
-            raise TableError("cells must be unsigned")
+        if any(
+            type(c) is not int and (not isinstance(c, int) or isinstance(c, bool))
+            or c < 0
+            for row in self.cells
+            for c in row
+        ):
+            raise TableError("cells must be unsigned ints")
         if len(set(self.account_names)) != m:
             raise TableError("account names must be distinct")
 
     def index(self, name: str) -> int:
-        try:
-            return self.account_names.index(name)
-        except ValueError:
-            raise TableError(f"unknown account {name!r}") from None
+        if name not in self.account_names:
+            raise TableError(f"unknown account {name!r}")
+        return self.account_names.index(name)
 
     def cell(self, debit_account: str, credit_account: str) -> int:
         return self.cells[self.index(debit_account)][self.index(credit_account)]
@@ -71,17 +76,14 @@ class TableSums:
 
 
 def _simple_transfer(i: int, description: str, postings, ledger: Ledger):
-    """Return entry `i`'s (debit account, credit account, amount), or raise
-    TableError, also for the failed entry's :class:`PostingError` from `_net`.
+    """Entry `i`'s (debit account, credit account, amount); a failed entry
+    raises `_net`'s :class:`PostingError`, a compound one a TableError.
 
     The accounts with a nonzero debit (credit) sum from `_net` are the
     debited (credited) ones; the amount is the debited account's debit sum.
     """
     sums: dict[str, list[int]] = {}
-    try:
-        _net(i, description, postings, ledger, sums)
-    except PostingError as exc:
-        raise TableError(f"entry {description!r}: {exc.report.problems()}") from None
+    _net(i, description, postings, ledger, sums)
     dr_accounts = [name for name, (debit, _) in sums.items() if debit]
     cr_accounts = [name for name, (_, credit) in sums.items() if credit]
     if len(dr_accounts) != 1 or len(cr_accounts) != 1:
@@ -97,9 +99,9 @@ def build_table(journal: Iterable[JournalEntry], ledger: Ledger) -> Transactions
     """Accumulate a journal of simple transfers into the M x M grid.
 
     `journal` holds entries or the journal grammar's rows, as `post` takes
-    them.  Requires a scalar (dimension 1) ledger.  A failed entry's
-    :class:`PostingError` from `_net` is a TableError.  A self-transfer lands
-    on the diagonal with a warning.  `TransactionsTable` makes the rows tuples.
+    them.  Requires a scalar (dimension 1) ledger.  A failed entry raises
+    its :class:`PostingError`, as `post` does.  A self-transfer lands on the
+    diagonal with a warning.  `TransactionsTable` makes the rows tuples.
     """
     if ledger.dimension != 1:
         raise TableError(
@@ -139,11 +141,7 @@ def net_changes(table: TransactionsTable, ledger: Ledger) -> dict[str, int]:
     return changes
 
 
-def consistency_check(
-    table: TransactionsTable,
-    journal: Sequence[JournalEntry],
-    ledger: Ledger,
-) -> bool:
+def consistency_check(table: TransactionsTable, journal: Sequence[JournalEntry]) -> bool:
     """Does the grid carry exactly the journal's per-account T-term sums?
 
     For every account, ``[row sum // column sum]`` must equal (by cross-sums)
@@ -156,8 +154,7 @@ def consistency_check(
             if name not in totals:
                 return False
             totals[name] = totals[name] + term
-    for i, name in enumerate(table.account_names):
-        from_table = TTerm(NatVec.of(sums.row_sums[i]), NatVec.of(sums.col_sums[i]))
-        if not from_table.equivalent(totals[name]):
+    for name, row, col in zip(table.account_names, sums.row_sums, sums.col_sums):
+        if not TTerm(NatVec.of(row), NatVec.of(col)).equivalent(totals[name]):
             return False
     return True

@@ -187,10 +187,12 @@ def reference_total(vectors, dimension: int) -> IntVec:
 # with a nonzero posting on that side.
 
 
-def reference_simple_transfer(entry: JournalEntry, ledger: Ledger) -> tuple[str, str, int]:
+def reference_simple_transfer(
+    i: int, entry: JournalEntry, ledger: Ledger
+) -> tuple[str, str, int]:
     report = validate_entry(entry, ledger)
     if not report.ok:
-        raise TableError(f"entry {entry.description!r}: {report.problems()}")
+        raise PostingError(i, entry, report)
     dr_total = 0
     dr_accounts = []
     cr_accounts = []
@@ -219,8 +221,8 @@ def reference_build_table(journal, ledger: Ledger) -> TransactionsTable:
     names = ledger.names()
     index = {name: i for i, name in enumerate(names)}
     cells = [[0] * len(names) for _ in names]
-    for entry in journal:
-        debited, credited, amount = reference_simple_transfer(entry, ledger)
+    for i, entry in enumerate(journal):
+        debited, credited, amount = reference_simple_transfer(i, entry, ledger)
         if debited == credited:
             warnings.warn(
                 f"entry {entry.description!r} debits and credits {debited!r}; "

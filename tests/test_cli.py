@@ -630,8 +630,9 @@ def test_residual_past_digit_limit_names_entry(
     assert run(command, *residual_past_digit_limit) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    entry = "entry 'big'" if command == "matrix" else "entry 1 ('big')"
-    assert err == f"error: {entry}: unbalanced, residual past the int/str digit limit\n"
+    assert err == (
+        "error: entry 1 ('big'): unbalanced, residual past the int/str digit limit\n"
+    )
 
 
 @support.needs_digit_limit

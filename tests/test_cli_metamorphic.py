@@ -4,7 +4,8 @@ the output of one command run to another's, so they need no oracle.
 Each command runs in-process through `run_command`, on a balanced ledger
 (a `support.ledgers()` draw plus one account, Z, holding the negated
 total) and journals from `support.journals` or, for `matrix`, of simple
-transfers, written out as files.
+transfers, written out as files; the failing-journal property runs on
+`tests/data/scalar.ledger`.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from pacioli import (
     Posting,
     Side,
     TTerm,
+    parse_ledger,
     render_journal,
     render_ledger,
 )
@@ -67,6 +69,29 @@ def simple_transfers(ledger: Ledger):
 SCALAR_BOOKS = support.ledgers(max_dim=1).map(balanced).flatmap(
     lambda ledger: st.tuples(st.just(ledger), simple_transfers(ledger))
 )
+
+
+# Journals on `tests/data/scalar.ledger` of simple transfers around one entry,
+# "bad", that fails: it names an account the ledger lacks (Nope), or it
+# credits more than it debits.
+SCALAR_LEDGER = Path(__file__).parent / "data" / "scalar.ledger"
+SCALAR_TRANSFERS = simple_transfers(parse_ledger(SCALAR_LEDGER.read_text()))
+NAMES_OR_NOPE = st.sampled_from(("Assets", "Liabilities", "Equity", "Nope"))
+FAILING = (
+    st.tuples(NAMES_OR_NOPE, NAMES_OR_NOPE, st.integers(1, 1000), st.integers(0, 1000))
+    .filter(lambda t: "Nope" in t[:2] or t[3])
+    .map(
+        lambda t: JournalEntry(
+            "bad",
+            (
+                Posting(t[0], Side.DR, NatVec.of(t[2])),
+                Posting(t[1], Side.CR, NatVec.of(t[2] + t[3])),
+            ),
+        )
+    )
+)
+# The failing entry's position is the length of the first list.
+FAILING_JOURNALS = st.tuples(SCALAR_TRANSFERS, FAILING, SCALAR_TRANSFERS)
 
 
 def run(*argv) -> str:
@@ -174,3 +199,27 @@ def test_close_zeroes_the_nominal_accounts_into_equity(ledger):
         elif acc.name != "Z":
             assert after[acc.name] == before[acc.name]
     assert [a - b for a, b in zip(after["Z"], before["Z"])] == moved
+
+
+@settings(max_examples=25, deadline=None)
+@given(FAILING_JOURNALS)
+def test_post_sss_and_matrix_fail_on_an_entry_with_one_error_line(parts):
+    # The three journal commands that stop at a failed entry report it alike:
+    # exit 1, nothing on stdout, and `post`'s one `error:` line naming the
+    # entry by its number.
+    before, failing, after = parts
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp, "in.journal")
+        journal.write_text(render_journal([*before, failing, *after], 1))
+        outcomes = []
+        for command in ("post", "sss", "matrix"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_command(
+                    [command, "--ledger", str(SCALAR_LEDGER), "--journal", str(journal)]
+                )
+            outcomes.append((code, out.getvalue(), err.getvalue()))
+    line = outcomes[0][2]
+    assert line.startswith(f"error: entry {len(before) + 1} ('bad'): ")
+    assert line.count("\n") == 1 and line.endswith("\n")
+    assert outcomes == [(1, "", line)] * 3
