@@ -222,7 +222,7 @@ def _cmd_matrix(args, ledger):
 
 def _cmd_sss(args, ledger):
     signed = to_signed(ledger)
-    if not args.journal:
+    if args.journal is None:
         return 0, _lines(iter_signed_report(signed)), None
     rows = _stream(args, ledger, lambda journal: journal_to_signed(journal, ledger))
     ending = signed_post(signed, rows)
@@ -262,7 +262,7 @@ def run_command(argv: Sequence[str]) -> int:
             ledger = parse_ledger(_read(args.ledger), require_balanced=balanced)
             status, chunks, ledger_text = args.handler(args, ledger)
         if ledger_text is not None:  # `post` and `close`: `chunks` is a list
-            if args.out:
+            if args.out is not None:
                 _write_out(args.out, ledger_text)
             else:
                 chunks = [*chunks, "\n", ledger_text] if chunks else [ledger_text]

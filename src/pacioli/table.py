@@ -38,8 +38,7 @@ class TableError(ValueError):
 @dataclass(frozen=True)
 class TransactionsTable:
     """Square grid of unsigned amounts; cell (i, j) debits i and credits j.
-    A cell is an int, not a bool, as a `NatVec` component is.  The account
-    names are distinct."""
+    Each row must build a `NatVec`, and the account names are distinct."""
 
     account_names: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]
@@ -50,13 +49,11 @@ class TransactionsTable:
         m = len(self.account_names)
         if len(self.cells) != m or any(len(row) != m for row in self.cells):
             raise TableError(f"cells must form a {m}x{m} grid")
-        if any(
-            type(c) is not int and (not isinstance(c, int) or isinstance(c, bool))
-            or c < 0
-            for row in self.cells
-            for c in row
-        ):
-            raise TableError("cells must be unsigned ints")
+        try:
+            for row in self.cells:
+                NatVec(row)
+        except (TypeError, ValueError):
+            raise TableError("cells must be unsigned ints") from None
         if len(set(self.account_names)) != m:
             raise TableError("account names must be distinct")
 

@@ -21,12 +21,15 @@ __all__ = ["PriceVector", "dot_value", "value_ledger"]
 
 @dataclass(frozen=True)
 class PriceVector:
-    """Per-unit prices: non-negative exact rationals, one per dimension."""
+    """Per-unit prices, one per dimension: ints or Fractions, >= 0, no floats."""
 
     prices: tuple[Rational, ...]
 
     def __post_init__(self):
-        prices = tuple(Rational(p) for p in self.prices)
+        prices = tuple(self.prices)
+        if any(isinstance(p, (float, bool)) for p in prices):
+            raise TypeError("a price is an int or a Fraction, not a float or bool")
+        prices = tuple(Rational(p) for p in prices)
         if not prices:
             raise ValueError("a price vector needs at least one price")
         for i, p in enumerate(prices, start=1):

@@ -355,6 +355,28 @@ def test_option_missing_or_foreign_to_its_command_is_a_usage_error(
     assert not (data / "out.ledger").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["post", "--journal", "scalar.journal", "--out", ""],
+        ["close", "--equity", "Equity", "--out", ""],
+        ["sss", "--journal", ""],
+        ["post", "--journal", ""],
+    ],
+)
+def test_empty_path_is_an_io_error(data, argv, capsys, monkeypatch):
+    """An empty `--out` or `--journal` names no file, as a path that cannot
+    be read or written does: exit 2, one `error:` line, nothing on stdout
+    and no file left behind (the temp file beside `--out` included)."""
+    monkeypatch.chdir(data)
+    before = sorted(p.name for p in data.iterdir())
+    assert run(*argv, "--ledger", "scalar.ledger") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in data.iterdir()) == before
+
+
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "COMMAND" in capsys.readouterr().out

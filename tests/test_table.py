@@ -5,7 +5,7 @@ import warnings
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import support
 from pacioli import (
@@ -148,6 +148,65 @@ def test_table_rejects_a_repeated_account_name():
     cells[3][0] = 7
     with pytest.raises(TableError, match="distinct"):
         TransactionsTable(names, cells)
+
+
+class _Amount(int):
+    """An int subclass: a `NatVec` component, and so a table cell."""
+
+
+_GOOD_CELL = st.integers(0, 9)
+_ANY_CELL = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(_Amount),
+    st.booleans(),
+    st.floats(-9, 9),
+)
+
+
+@st.composite
+def _grids(draw):
+    """Names (perhaps repeated) and a grid of unsigned ints that may be off
+    square by one row or one cell, with some cells of any kind."""
+    m = draw(st.integers(0, 3))
+    names = draw(st.lists(st.sampled_from("ABCD"), min_size=m, max_size=m))
+    rows = draw(st.lists(st.lists(_GOOD_CELL, min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2)) if m else 0):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] = draw(_ANY_CELL)
+    shape = draw(st.sampled_from(["square", "square", "extra row", "short row"]))
+    if shape == "extra row":
+        rows.append(draw(st.lists(_ANY_CELL, min_size=m, max_size=m)))
+    elif shape == "short row" and m:
+        rows[draw(st.integers(0, m - 1))].pop()
+    return names, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=_grids())
+def test_table_accepts_a_grid_exactly_when_its_rows_are_natvecs(grid):
+    # The shape is checked first, then every row as a `NatVec`, then the
+    # names.
+    names, rows = grid
+    m = len(names)
+    try:
+        for row in rows:
+            NatVec(row)
+        natvecs = True
+    except (TypeError, ValueError):
+        natvecs = False
+    if len(rows) != m or any(len(row) != m for row in rows):
+        message = f"cells must form a {m}x{m} grid"
+    elif not natvecs:
+        message = "cells must be unsigned ints"
+    elif len(set(names)) != m:
+        message = "account names must be distinct"
+    else:
+        table = TransactionsTable(names, rows)
+        assert table.cells == tuple(map(tuple, rows))
+        return
+    with pytest.raises(TableError) as failure:
+        TransactionsTable(names, rows)
+    assert str(failure.value) == message
 
 
 def test_net_changes_rejects_mismatched_accounts(scalar_ledger):

@@ -51,6 +51,20 @@ def test_price_vector_validation():
         dot_value(PAPER_PRICES, iv(1, 2))
 
 
+@pytest.mark.parametrize("price", [0.1, 0.5, 2.0, True, False])
+def test_price_vector_rejects_float_and_bool_prices(price):
+    # Fraction(0.1) is the float's binary value, not 1/10.
+    with pytest.raises(TypeError):
+        PriceVector.of(1, price)
+
+
+def test_price_vector_takes_ints_fractions_and_fraction_strings():
+    prices = PriceVector.of(2, Q(1, 3), "3/4", "0.1")
+    assert prices.prices == (2, Q(1, 3), Q(3, 4), Q(1, 10))
+    assert all(type(p) is Q for p in prices.prices)
+    assert PriceVector(iter(["1/2", 3])).prices == (Q(1, 2), 3)
+
+
 def test_value_ledger_collapses_ending_vector_ledger(vector_ledger, vector_journal):
     ended = reduce_ledger(post(vector_ledger, vector_journal))
     valued = value_ledger(ended, PAPER_PRICES, unit_name="usd")
