@@ -20,7 +20,6 @@ import gc
 import os
 import sys
 import warnings
-from fractions import Fraction as Rational
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -41,7 +40,7 @@ from .reports import (
 )
 from .sss import journal_to_signed, signed_post, to_signed
 from .table import build_table
-from .valuation import PriceVector, value_ledger
+from .valuation import PriceVector, _rational, value_ledger
 
 __all__ = ["build_parser", "run_command", "main"]
 
@@ -109,23 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _price(text: str) -> Rational:
-    # Rational builds 10**exponent unchecked, so an exponent past twice the
-    # int/str digit limit (if any) is refused first; Rational("1/0") raises
-    # ZeroDivisionError, which argparse would not catch.
-    _, e, exponent = text.lower().rpartition("e")
-    limit = 2 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def _price(text: str):
+    """`text` as an exact price (`valuation._rational`); argparse names a bad one."""
     try:
-        if e and limit and abs(int(exponent)) > limit:
-            raise ValueError
-        return Rational(text)
-    except (ValueError, ZeroDivisionError):
+        return _rational(text)
+    except (ValueError, ZeroDivisionError):  # "1/0" is a ZeroDivisionError
         raise argparse.ArgumentTypeError(f"invalid price {text!r}") from None
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:  # Path("") would be "."
+            return file.read()
     except UnicodeDecodeError as exc:
         message = f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
         raise ParseError(message) from None
@@ -134,13 +128,15 @@ def _read(path: str) -> str:
 def _write_out(path: str, text: str) -> None:
     """Replace `path` with `text` atomically: write a temp file beside it,
     then rename it over `path`.  On failure the temp file is removed and
-    `path` is left as it was."""
+    `path` is left as it was; an `OSError` names `path`, not the temp file."""
     temp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         temp.write_text(text, encoding="utf-8")
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

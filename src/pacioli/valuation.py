@@ -7,6 +7,8 @@ Prices are exact rationals (stdlib Fraction), so the whole pipeline stays
 exact; the dot product is linear, so valuation commutes with posting.
 """
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 from math import lcm
@@ -19,17 +21,27 @@ from .ledger import Account, Ledger, Side, _text
 __all__ = ["PriceVector", "dot_value", "value_ledger"]
 
 
+def _rational(price) -> Rational:
+    """An int, a Fraction or the text of one, as a Fraction.  Fraction builds
+    10**exponent unchecked: text past twice the digit limit is refused first."""
+    if isinstance(price, (float, bool)):
+        raise TypeError("a price is an int or a Fraction, not a float or bool")
+    exp = isinstance(price, str) and re.search(r"[eE]([-+]?\d+(_\d+)*)\s*\Z", price)
+    limit = 2 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if exp and limit and abs(int(exp[1])) > limit:
+        raise ValueError(f"price {price!r}: exponent past twice the digit limit")
+    return Rational(price)
+
+
 @dataclass(frozen=True)
 class PriceVector:
-    """Per-unit prices, one per dimension: ints or Fractions, >= 0, no floats."""
+    """Per-unit prices, one per dimension, >= 0: ints, Fractions or their text
+    (no floats), text refused past the exponent bound of `value --prices`."""
 
     prices: tuple[Rational, ...]
 
     def __post_init__(self):
-        prices = tuple(self.prices)
-        if any(isinstance(p, (float, bool)) for p in prices):
-            raise TypeError("a price is an int or a Fraction, not a float or bool")
-        prices = tuple(Rational(p) for p in prices)
+        prices = tuple(map(_rational, self.prices))
         if not prices:
             raise ValueError("a price vector needs at least one price")
         for i, p in enumerate(prices, start=1):

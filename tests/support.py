@@ -10,6 +10,7 @@ deterministic.
 import sys
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -501,41 +502,45 @@ def random_journal(
 
 
 # --- hypothesis strategies ---
+#
+# Each strategy below is built once and drawn from many times: the dimension,
+# and one tuple strategy per (dimension, bounds) for the vectors' components.
+
+DIMENSIONS = st.integers(1, 4)
 
 
-def components(limit: int = 1000):
-    return st.integers(0, limit)
+@lru_cache(maxsize=None)
+def _component_tuples(dim: int, lo: int, hi: int):
+    return st.tuples(*[st.integers(lo, hi)] * dim)
 
 
 @st.composite
 def natvecs(draw, dim: int | None = None, limit: int = 1000) -> NatVec:
-    d = dim if dim is not None else draw(st.integers(1, 4))
-    return NatVec(tuple(draw(st.lists(components(limit), min_size=d, max_size=d))))
+    d = dim if dim is not None else draw(DIMENSIONS)
+    return NatVec(draw(_component_tuples(d, 0, limit)))
 
 
 @st.composite
 def intvecs(draw, dim: int | None = None, limit: int = 1000) -> IntVec:
-    d = dim if dim is not None else draw(st.integers(1, 4))
-    return IntVec(
-        tuple(draw(st.lists(st.integers(-limit, limit), min_size=d, max_size=d)))
-    )
+    d = dim if dim is not None else draw(DIMENSIONS)
+    return IntVec(draw(_component_tuples(d, -limit, limit)))
 
 
 @st.composite
 def tterms(draw, dim: int | None = None, limit: int = 1000) -> TTerm:
-    d = dim if dim is not None else draw(st.integers(1, 4))
+    d = dim if dim is not None else draw(DIMENSIONS)
     return TTerm(draw(natvecs(dim=d, limit=limit)), draw(natvecs(dim=d, limit=limit)))
 
 
 @st.composite
 def tterm_pairs(draw, limit: int = 1000) -> tuple[TTerm, TTerm]:
-    d = draw(st.integers(1, 4))
+    d = draw(DIMENSIONS)
     return draw(tterms(dim=d, limit=limit)), draw(tterms(dim=d, limit=limit))
 
 
 @st.composite
 def tterm_triples(draw, limit: int = 1000) -> tuple[TTerm, TTerm, TTerm]:
-    d = draw(st.integers(1, 4))
+    d = draw(DIMENSIONS)
     return (
         draw(tterms(dim=d, limit=limit)),
         draw(tterms(dim=d, limit=limit)),

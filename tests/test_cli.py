@@ -377,6 +377,28 @@ def test_empty_path_is_an_io_error(data, argv, capsys, monkeypatch):
     assert sorted(p.name for p in data.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["post", "--ledger", "scalar.ledger", "--journal", "scalar.journal", "--out"],
+        ["close", "--ledger", "scalar.ledger", "--equity", "Equity", "--out"],
+        ["sss", "--ledger", "scalar.ledger", "--journal"],
+        ["post", "--ledger", "scalar.ledger", "--journal"],
+        ["report", "--ledger"],
+    ],
+)
+@pytest.mark.parametrize("path", ["", "missing/x.ledger", "./missing//x.ledger"])
+def test_io_error_names_the_path_as_given(data, argv, path, capsys, monkeypatch):
+    """A path that cannot be read or written is named as it was given: not
+    as the temp file beside `--out`, and an empty one not as "."."""
+    monkeypatch.chdir(data)
+    before = sorted(p.name for p in data.iterdir())
+    assert run(*argv, path) == 2
+    error = f"error: [Errno 2] No such file or directory: {path!r}\n"
+    assert capsys.readouterr() == ("", error)
+    assert sorted(p.name for p in data.iterdir()) == before
+
+
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "COMMAND" in capsys.readouterr().out

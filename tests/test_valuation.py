@@ -1,9 +1,12 @@
 """Price-vector valuation of property ledgers."""
 
+import argparse
 import random
 from fractions import Fraction as Q
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 import support
 from pacioli import (
@@ -23,6 +26,7 @@ from pacioli import (
     reduce_ledger,
     value_ledger,
 )
+from pacioli.cli import _price
 
 nv = NatVec.of
 iv = IntVec.of
@@ -63,6 +67,61 @@ def test_price_vector_takes_ints_fractions_and_fraction_strings():
     assert prices.prices == (2, Q(1, 3), Q(3, 4), Q(1, 10))
     assert all(type(p) is Q for p in prices.prices)
     assert PriceVector(iter(["1/2", 3])).prices == (Q(1, 2), 3)
+
+
+# Twice the digit limit: the largest exponent a price's text may carry.
+BOUND = 2 * support.DIGIT_LIMIT
+EXPONENTS = st.one_of(
+    st.integers(BOUND - 3, BOUND + 3),
+    st.integers(-BOUND - 3, -BOUND + 3),
+    st.integers(-20000, 20000),
+)
+PRICE_TEXTS = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(0, 99)),
+    st.decimals(0, 10**9, places=6).map(str),
+    st.builds("{}e{}".format, st.integers(0, 999), EXPONENTS),
+    st.text("0123456789eE/._+ x", max_size=8),
+)
+
+
+@support.needs_digit_limit
+@example("1/0")
+@example(f"1e{BOUND + 1}")
+@example(f"1e-{BOUND + 1}")
+@given(PRICE_TEXTS)
+def test_prices_option_and_price_vector_agree(text):
+    """`--prices` refuses exactly the text that `PriceVector` refuses, and
+    both read the rest as the same Fraction."""
+    try:
+        price = _price(text)
+    except argparse.ArgumentTypeError:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            PriceVector.of(text)
+    else:
+        assert PriceVector.of(text).prices == (price,)
+
+
+@support.needs_digit_limit
+@pytest.mark.parametrize("text", ["1e30000000", f"1E{BOUND + 1}", f" 2e-{BOUND + 1} "])
+def test_price_vector_refuses_text_past_the_exponent_bound(text):
+    # Fraction would build 10**exponent first: for 1e30000000 that does not
+    # return in any useful time.
+    with pytest.raises(ValueError, match="exponent past twice the digit limit"):
+        PriceVector.of(1, text)
+    assert PriceVector.of(f"1e{BOUND}", f"1e-{BOUND}").prices == (
+        Q(10**BOUND),
+        Q(1, 10**BOUND),
+    )
+
+
+@support.needs_digit_limit
+def test_price_vector_raises_for_its_first_bad_price():
+    # Each price is converted in turn: a float and bad text raise in order.
+    with pytest.raises(ValueError, match="exponent"):
+        PriceVector.of("1e30000000", 0.5)
+    with pytest.raises(TypeError, match="float"):
+        PriceVector.of(0.5, "1e30000000")
 
 
 def test_value_ledger_collapses_ending_vector_ledger(vector_ledger, vector_journal):
