@@ -70,11 +70,6 @@ def _aligned(rows: list[dict[int, str]], ends: list[int]) -> Iterator[str]:
         yield "".join(pieces).rstrip()
 
 
-def _grid(rows: Iterable[Iterable[tuple[int, str]]]) -> str:
-    """The lines of `_grid_lines`, joined."""
-    return "\n".join(_grid_lines(rows))
-
-
 def render_balance_sheet(eq: BalanceSheetEquation) -> str:
     """Two lines: term names joined by '=' and '+', values aligned beneath."""
     if not eq.terms():

@@ -8,10 +8,7 @@ past it; ``--prices`` draws among values that are whole, fractional,
 negative, past the limit or not numbers at all.
 """
 
-import contextlib
-import io
 import re
-import warnings
 
 import hypothesis.strategies as st
 import pytest
@@ -19,7 +16,6 @@ from hypothesis import example, given, settings
 
 import support
 from pacioli import Ledger, ParseError, parse_ledger
-from pacioli.cli import run_command
 
 COMMANDS = (
     "validate",
@@ -128,17 +124,6 @@ def paths(tmp_path_factory):
     return {name: root / name for name in ("ledger", "journal", "out", "missing")}
 
 
-def run_captured(argv: list[str]) -> tuple[int, str, str]:
-    """Exit status, stdout and stderr; warnings (a diagonal transfer in
-    `matrix`) are recorded, as a plain run prints them, even under -W error."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            code = run_command(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @st.composite
 def cases(draw, paths):
     return draw(mutated("ledger")), draw(mutated("journal")), draw(argvs(paths))
@@ -161,9 +146,9 @@ def test_cli_is_total_on_mutated_inputs(paths):
     @example((wide, b"", ["report", *ledger]))
     def check(case):
         ledger, journal, argv = case
-        paths["ledger"].write_bytes(ledger)
-        paths["journal"].write_bytes(journal)
-        code, _, err = run_captured(argv)
+        support.write_new(paths["ledger"], ledger)
+        support.write_new(paths["journal"], journal)
+        code, _, err = support.run_cli(*argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert "set_int_max_str_digits" not in err

@@ -8,8 +8,6 @@ transfers, written out as files; the failing-journal property runs on
 `tests/data/scalar.ledger`.
 """
 
-import contextlib
-import io
 import re
 import tempfile
 from pathlib import Path
@@ -30,7 +28,6 @@ from pacioli import (
     render_journal,
     render_ledger,
 )
-from pacioli.cli import run_command
 
 
 def balanced(ledger: Ledger) -> Ledger:
@@ -96,11 +93,9 @@ FAILING_JOURNALS = st.tuples(SCALAR_TRANSFERS, FAILING, SCALAR_TRANSFERS)
 
 def run(*argv) -> str:
     """The stdout of a command that must succeed, with nothing on stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_command([str(arg) for arg in argv])
-    assert (code, err.getvalue()) == (0, "")
-    return out.getvalue()
+    code, out, err = support.run_cli(*argv)
+    assert (code, err) == (0, "")
+    return out
 
 
 def row(report: str, label: str) -> list[str]:
@@ -211,14 +206,10 @@ def test_post_sss_and_matrix_fail_on_an_entry_with_one_error_line(parts):
     with tempfile.TemporaryDirectory() as tmp:
         journal = Path(tmp, "in.journal")
         journal.write_text(render_journal([*before, failing, *after], 1))
-        outcomes = []
-        for command in ("post", "sss", "matrix"):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run_command(
-                    [command, "--ledger", str(SCALAR_LEDGER), "--journal", str(journal)]
-                )
-            outcomes.append((code, out.getvalue(), err.getvalue()))
+        outcomes = [
+            support.run_cli(command, "--ledger", SCALAR_LEDGER, "--journal", journal)
+            for command in ("post", "sss", "matrix")
+        ]
     line = outcomes[0][2]
     assert line.startswith(f"error: entry {len(before) + 1} ('bad'): ")
     assert line.count("\n") == 1 and line.endswith("\n")

@@ -7,8 +7,6 @@ The workload generator, the input writer and the oracle live in
 model of every command.
 """
 
-import contextlib
-import io
 import sys
 import tempfile
 from pathlib import Path
@@ -16,7 +14,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
-from pacioli.cli import run_command
+import support
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracle  # noqa: E402
@@ -47,12 +45,10 @@ def test_workload_commands_pass_the_oracle(workload, seed, scale):
         run.write_inputs(book, paths)
         for metric, template in sequence:
             argv = [arg.format(**paths) for arg in template]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run_command(argv)
+            code, out, err = support.run_cli(*argv)
             written = ""
             if "--out" in argv:
                 target = Path(argv[argv.index("--out") + 1])
                 written = target.read_text(encoding="utf-8") if target.exists() else ""
-            problems = oracle.CHECKS[metric](expected, code, out.getvalue(), written)
-            assert problems == [], (metric, err.getvalue())
+            problems = oracle.CHECKS[metric](expected, code, out, written)
+            assert problems == [], (metric, err)

@@ -28,7 +28,7 @@ from pacioli import (
     zero_row_check,
 )
 from pacioli.reports import (
-    _grid,
+    _grid_lines,
     render_balance_sheet,
     render_signed_report,
     render_table_report,
@@ -52,7 +52,8 @@ def outcome(func, *args):
 
 @given(st.lists(st.lists(texts, max_size=6), min_size=1, max_size=6))
 def test_grid_of_dense_rows_matches_reference(rows):
-    assert _grid([enumerate(row) for row in rows]) == support.reference_grid(rows)
+    lines = _grid_lines([enumerate(row) for row in rows])
+    assert "\n".join(lines) == support.reference_grid(rows)
 
 
 @given(
@@ -69,11 +70,11 @@ def test_grid_of_sparse_rows_matches_dense_reference(rows):
     for row in rows:
         cells = dict(row)
         dense.append([cells.get(i, "") for i in range(max(cells, default=-1) + 1)])
-    assert _grid(rows) == support.reference_grid(dense)
+    assert "\n".join(_grid_lines(rows)) == support.reference_grid(dense)
 
 
 def test_grid_of_no_rows_is_empty():
-    assert _grid([]) == ""
+    assert "\n".join(_grid_lines([])) == ""
 
 
 # --- the balance sheet ---

@@ -2,8 +2,6 @@
 vector constructor; the streamed `sss` and `matrix` reports, checked
 against their text."""
 
-import contextlib
-import io
 import tempfile
 import warnings
 from pathlib import Path
@@ -37,7 +35,6 @@ from pacioli import (
     to_signed,
     validate_entry,
 )
-from pacioli.cli import run_command
 from pacioli.fileformat import _journal
 from pacioli.ledger import PostingError
 from pacioli.reports import render_signed_report, render_table_report
@@ -116,10 +113,8 @@ def test_post_command_matches_post_of_list(case, tail):
     with tempfile.TemporaryDirectory() as tmp:
         journal = Path(tmp) / "j.journal"
         journal.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_command(["post", "--ledger", str(SCALAR), "--journal", str(journal)])
-    assert (code, out.getvalue(), err.getvalue()) == post_of_list(SCALAR, text)
+        outcome = support.run_cli("post", "--ledger", SCALAR, "--journal", journal)
+    assert outcome == post_of_list(SCALAR, text)
 
 
 def parsed(items) -> tuple[list, str | None]:
@@ -300,7 +295,7 @@ def test_streamed_reports_equal_their_text(book):
             (["matrix", *journal_args], render_table_report(*table_args)),
         ]
         for argv, text in expected:
-            out, err = io.StringIO(), io.StringIO()  # err: the diagonal warnings
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                assert run_command([*argv, "--ledger", str(ledger_path)]) == 0
-            assert out.getvalue() == text + "\n"
+            # stderr holds the diagonal warnings.
+            code, out, _ = support.run_cli(*argv, "--ledger", ledger_path)
+            assert code == 0
+            assert out == text + "\n"
