@@ -192,8 +192,12 @@ class TTerm:
     credit: NatVec
 
     def __post_init__(self):
-        if len(self.debit.components) != len(self.credit.components):
-            _same_dimension(self.debit, self.credit)
+        debit, credit = self.debit, self.credit
+        if type(debit) is not NatVec or type(credit) is not NatVec:
+            name = type(credit if type(debit) is NatVec else debit).__name__
+            raise TypeError(f"a T-term side is a NatVec, not {name}")
+        if len(debit.components) != len(credit.components):
+            _same_dimension(debit, credit)
 
     @classmethod
     def zero(cls, dimension: int) -> "TTerm":

@@ -112,7 +112,7 @@ def _price(text: str):
     """`text` as an exact price (`valuation._rational`); argparse names a bad one."""
     try:
         return _rational(text)
-    except (ValueError, ZeroDivisionError):  # "1/0" is a ZeroDivisionError
+    except ValueError:
         raise argparse.ArgumentTypeError(f"invalid price {text!r}") from None
 
 

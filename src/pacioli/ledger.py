@@ -92,6 +92,8 @@ class Account:
 
     def __post_init__(self):
         _check_name(self.name, "account")
+        if type(self.role) is not Side:
+            raise TypeError(f"account {self.name!r}: role {self.role!r} is not a Side")
 
     @classmethod
     def from_signed(cls, name: str, role: Side, value: IntVec, nominal=False):
@@ -346,7 +348,7 @@ def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
     credit = [0] * dim
     dr_accounts = set()
     cr_accounts = set()
-    dr = Side.DR  # a local: looking up an enum member is a call
+    dr, cr = Side.DR, Side.CR  # locals: looking up an enum member is a call
     for i, posting in enumerate(entry.postings):
         name = posting.account
         if name not in known and name not in unknown:
@@ -354,9 +356,14 @@ def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
         if posting.side is dr:
             side = debit
             dr_accounts.add(name)
-        else:
+        elif posting.side is cr:
             side = credit
             cr_accounts.add(name)
+        else:
+            raise TypeError(
+                f"entry {entry.description!r}, posting {i + 1} ({name!r}): "
+                f"side {posting.side!r} is not a Side"
+            )
         amount = posting.amount.components
         if len(amount) != dim:
             mismatched.append(i)
@@ -389,11 +396,13 @@ def _net(i: int, description: str, postings, ledger: Ledger, sums) -> None:
     The one place a failed entry is reported: exactly when `validate_entry`
     is not ok (an unknown account, a wrong dimension, or debits unequal to
     credits), the entry is rebuilt from `description` and `postings` and
-    its :class:`PostingError` raised, with `sums` partly updated.
+    its :class:`PostingError` raised, with `sums` partly updated.  A side
+    that is not a `Side` fails the entry too: `validate_entry` then raises
+    its `TypeError`.
     """
     dim = ledger.dimension
     known = ledger._by_name
-    debit = Side.DR  # a local: looking up an enum member is a call
+    debit, credit = Side.DR, Side.CR  # locals: looking up an enum member is a call
     residual = [0] * dim
     for account, side, amount in postings:
         acc = sums.get(account)
@@ -407,10 +416,12 @@ def _net(i: int, description: str, postings, ledger: Ledger, sums) -> None:
             for j, c in enumerate(amount):
                 acc[j] += c
                 residual[j] += c
-        else:
+        elif side is credit:
             for j, c in enumerate(amount):
                 acc[dim + j] += c
                 residual[j] -= c
+        else:
+            break
     else:
         if not any(residual):
             return

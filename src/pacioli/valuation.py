@@ -23,14 +23,18 @@ __all__ = ["PriceVector", "dot_value", "value_ledger"]
 
 def _rational(price) -> Rational:
     """An int, a Fraction or the text of one, as a Fraction.  Fraction builds
-    10**exponent unchecked: text past twice the digit limit is refused first."""
+    10**exponent unchecked: text past twice the digit limit is refused first.
+    Text that is not a price, a zero denominator too, is a `ValueError`."""
     if isinstance(price, (float, bool)):
         raise TypeError("a price is an int or a Fraction, not a float or bool")
     exp = isinstance(price, str) and re.search(r"[eE]([-+]?\d+(_\d+)*)\s*\Z", price)
     limit = 2 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if exp and limit and abs(int(exp[1])) > limit:
         raise ValueError(f"price {price!r}: exponent past twice the digit limit")
-    return Rational(price)
+    try:
+        return Rational(price)
+    except ZeroDivisionError:
+        raise ValueError(f"price {price!r}: zero denominator") from None
 
 
 @dataclass(frozen=True)

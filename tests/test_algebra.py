@@ -257,6 +257,16 @@ def test_construction_errors():
         iv(-1).to_unsigned()
 
 
+@pytest.mark.parametrize(
+    "debit, credit",
+    [(nv(1), iv(-1)), (iv(1), nv(1)), (1, 2), (nv(1), (1,)), (None, nv(1))],
+)
+def test_t_term_sides_are_natvecs(debit, credit):
+    # `TTerm(nv(1), iv(-1))` would read as [1 // -1], outside the Pacioli group.
+    with pytest.raises(TypeError, match="a T-term side is a NatVec"):
+        TTerm(debit, credit)
+
+
 def test_vector_conveniences():
     v = nv(9000, 40, 50)
     assert len(v) == 3 and v[1] == 40 and list(v) == [9000, 40, 50]

@@ -4,6 +4,7 @@ close."""
 import copy
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,9 +23,11 @@ from pacioli import (
     PostingError,
     Side,
     TTerm,
+    build_table,
     close_nominal,
     decode_equation,
     encode_equation,
+    journal_to_signed,
     post,
     reduce_ledger,
     render_ledger,
@@ -106,6 +109,14 @@ def test_ledger_construction_errors():
         Ledger(2, ("a", "b"), (Account("A", Side.DR, tt(1, 0)),))
     with pytest.raises(LedgerError):
         Account("bad name", Side.DR, tt(0, 0))
+
+
+@pytest.mark.parametrize("role", ["dr", "cr", None, 0])
+def test_account_role_is_a_side(role):
+    # A role of "dr" would be read as a credit: signed balance -5, and
+    # `decode_equation` would leave the account out of both sides.
+    with pytest.raises(TypeError, match=f"account 'A': role {role!r} is not a Side"):
+        Account("A", role, tt(7, 2))
 
 
 def test_ledger_needs_a_positive_dimension():
@@ -232,6 +243,24 @@ def test_post_is_all_or_nothing(scalar_ledger):
     assert info.value.entry_index == 1
     assert not info.value.report.ok
     assert "residual" in str(info.value)
+
+
+@pytest.mark.parametrize("side", ["dr", "cr", None, 1])
+def test_a_side_that_is_not_a_side_is_refused(scalar_ledger, side):
+    # Read as a credit, `side Assets 30` / `dr Equity 30` would post as
+    # balanced and take 30 from both accounts.
+    postings = [("Assets", side, (30,)), ("Equity", Side.DR, (30,))]
+    rows = [("x", postings)]
+    entry = JournalEntry("x", [Posting(a, s, NatVec(v)) for a, s, v in postings])
+    message = re.escape(f"entry 'x', posting 1 ('Assets'): side {side!r} is not a Side")
+    for refuse in (
+        lambda: post(scalar_ledger, rows),
+        lambda: journal_to_signed(rows, scalar_ledger),
+        lambda: build_table(rows, scalar_ledger),
+        lambda: validate_entry(entry, scalar_ledger),
+    ):
+        with pytest.raises(TypeError, match=message):
+            refuse()
 
 
 def test_post_order_insensitive_up_to_equality(scalar_ledger, scalar_journal):

@@ -96,7 +96,7 @@ def test_prices_option_and_price_vector_agree(text):
     try:
         price = _price(text)
     except argparse.ArgumentTypeError:
-        with pytest.raises((ValueError, ZeroDivisionError)):
+        with pytest.raises(ValueError):
             PriceVector.of(text)
     else:
         assert PriceVector.of(text).prices == (price,)
@@ -113,6 +113,12 @@ def test_price_vector_refuses_text_past_the_exponent_bound(text):
         Q(10**BOUND),
         Q(1, 10**BOUND),
     )
+
+
+@pytest.mark.parametrize("text", ["1/0", "5/00", " 0/0 "])
+def test_zero_denominator_is_a_value_error_that_names_the_price(text):
+    with pytest.raises(ValueError, match=f"price {text!r}: zero denominator"):
+        PriceVector.of(1, text)
 
 
 @support.needs_digit_limit
