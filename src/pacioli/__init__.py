@@ -7,26 +7,40 @@ trial-balance, reduce, decode) is plain group arithmetic in it.  The same
 machinery runs unchanged over vectors of physical quantities, values back
 to scalars through exact price vectors, and maps onto the equivalent
 signed single-sided system.
+
+The package namespace is lazy (PEP 562): ``from pacioli import X`` imports
+only the modules up to the first whose ``__all__`` names X, in the order of
+`_MODULES`, and ``import pacioli.<module>`` only that module and what it
+imports.  So ``from pacioli import TTerm`` loads `pacioli.algebra` alone.
+Stdlib `fractions` (with `decimal`) loads with the first price.
 """
 
-from . import algebra, fileformat, fractions, ledger, sss, table, valuation
-from .algebra import *
-from .fractions import *
-from .ledger import *
-from .sss import *
-from .table import *
-from .valuation import *
-from .fileformat import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *algebra.__all__,
-    *fractions.__all__,
-    *ledger.__all__,
-    *sss.__all__,
-    *table.__all__,
-    *valuation.__all__,
-    *fileformat.__all__,
-    "__version__",
-]
+# The modules whose `__all__`, joined in this order, is the package's.
+_MODULES = ("algebra", "fractions", "ledger", "sss", "table", "valuation", "fileformat")
+
+
+def __getattr__(name: str):
+    """Import a module of `_MODULES`, or the first one that exports `name`,
+    and bind the result here, so it is looked up once."""
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = [n for m in _MODULES for n in __getattr__(m).__all__]
+        value.append("__version__")
+    else:
+        for module in map(__getattr__, _MODULES):
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -314,7 +314,8 @@ def render_journal(entries, dimension: int) -> str:
 
     An entry with no postings, a posting account that is not a valid
     account name, and an amount that is not of `dimension` or is past the
-    int/str digit limit each raise :class:`LedgerError`.
+    int/str digit limit each raise :class:`LedgerError`; an account name
+    that is not a `str` raises `TypeError`.
     """
     out = [JOURNAL_MAGIC, f"dimension {dimension}"]
     for entry in entries:

@@ -73,6 +73,8 @@ class Side(Enum):
 
 
 def _check_name(name: str, what: str) -> None:
+    if type(name) is not str:
+        raise TypeError(f"{what} name {name!r} is not a str")
     if not name or name.split() != [name] or "#" in name:
         raise LedgerError(f"invalid {what} name {name!r}")
 
@@ -114,9 +116,10 @@ class _Book:
     """An ordered listing of named accounts over a fixed dimension, shared
     by the T-term `Ledger` and the signed `SignedLedger`.
 
-    Construction checks the dimension, the unit names, that account names
-    are distinct and that every balance has the book's dimension, and
-    indexes the accounts by name in the same pass.
+    Construction checks the dimension, the unit names, that every account
+    is of the subclass's `_account` type, that account names are distinct
+    and that every balance has the book's dimension, and indexes the
+    accounts by name in the same pass.
     """
 
     dimension: int
@@ -136,8 +139,11 @@ class _Book:
             _check_name(unit, "unit")
         if len(set(self.unit_names)) != len(self.unit_names):
             raise LedgerError("unit names must be distinct")
-        by_name = {}
+        by_name, kind = {}, self._account
         for acc in self.accounts:
+            if type(acc) is not kind:
+                book = type(self).__name__
+                raise TypeError(f"a {book} holds {kind.__name__}s, not {acc!r}")
             if acc.name in by_name:
                 raise LedgerError(f"duplicate account {acc.name!r}")
             by_name[acc.name] = acc
@@ -169,6 +175,8 @@ class Ledger(_Book):
     ledger is representable (that is what a trial balance is for), it just
     cannot come out of `encode_equation` or `post`.
     """
+
+    _account = Account
 
     def total(self) -> TTerm:
         """The sum of every balance: the debit sides and the credit sides

@@ -46,6 +46,8 @@ class SignedAccount:
 class SignedLedger(_Book):
     """A listing of `SignedAccount`s, checked on construction as a `Ledger` is."""
 
+    _account = SignedAccount
+
     def balances(self) -> tuple[IntVec, ...]:
         return tuple(acc.balance for acc in self.accounts)
 

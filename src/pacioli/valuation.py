@@ -5,12 +5,13 @@ prices turns a dimension-n property ledger into the ordinary dimension-1
 value ledger; an account's role only decides how its value is read.
 Prices are exact rationals (stdlib Fraction), so the whole pipeline stays
 exact; the dot product is linear, so valuation commutes with posting.
+Stdlib `fractions` (with `decimal`) is imported only where a price or a
+non-integer value is built, so importing this module does not load it.
 """
 
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction as Rational
 from math import lcm
 from operator import mul
 from typing import Union
@@ -21,7 +22,7 @@ from .ledger import Account, Ledger, Side, _text
 __all__ = ["PriceVector", "dot_value", "value_ledger"]
 
 
-def _rational(price) -> Rational:
+def _rational(price) -> "Fraction":
     """An int, a Fraction or the text of one, as a Fraction.  Fraction builds
     10**exponent unchecked: text past twice the digit limit is refused first.
     Text that is not a price, a zero denominator too, is a `ValueError`."""
@@ -31,8 +32,9 @@ def _rational(price) -> Rational:
     limit = 2 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if exp and limit and abs(int(exp[1])) > limit:
         raise ValueError(f"price {price!r}: exponent past twice the digit limit")
+    from fractions import Fraction
     try:
-        return Rational(price)
+        return Fraction(price)
     except ZeroDivisionError:
         raise ValueError(f"price {price!r}: zero denominator") from None
 
@@ -42,7 +44,7 @@ class PriceVector:
     """Per-unit prices, one per dimension, >= 0: ints, Fractions or their text
     (no floats), text refused past the exponent bound of `value --prices`."""
 
-    prices: tuple[Rational, ...]
+    prices: "tuple[Fraction, ...]"
 
     def __post_init__(self):
         prices = tuple(map(_rational, self.prices))
@@ -62,14 +64,15 @@ class PriceVector:
         return len(self.prices)
 
 
-def dot_value(prices: PriceVector, quantities: Union[IntVec, NatVec]) -> Rational:
+def dot_value(prices: PriceVector, quantities: Union[IntVec, NatVec]) -> "Fraction":
     """Exact scalar product of prices and a quantity vector."""
     if prices.dimension != quantities.dimension:
         raise DimensionMismatch(
             f"dimension mismatch: {prices.dimension} prices vs "
             f"{quantities.dimension} quantities"
         )
-    return sum((p * q for p, q in zip(prices.prices, quantities)), Rational(0))
+    from fractions import Fraction
+    return sum((p * q for p, q in zip(prices.prices, quantities)), Fraction(0))
 
 
 def value_ledger(
@@ -99,9 +102,10 @@ def value_ledger(
         credit = sum(map(mul, weights, acc.balance.credit.components))
         value, remainder = divmod(debit - credit, scale)
         if remainder:
+            from fractions import Fraction
             scaled = credit - debit if acc.role is Side.CR else debit - credit
             owner = "account %r: a non-integer value"
-            text = _text(Rational(scaled, scale), owner, acc.name)
+            text = _text(Fraction(scaled, scale), owner, acc.name)
             raise ValueError(f"account {acc.name!r} values to non-integer {text}")
         balance = TTerm.from_debit_balance(IntVec((value,)))
         accounts.append(Account(acc.name, acc.role, balance, acc.nominal))

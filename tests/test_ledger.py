@@ -22,6 +22,8 @@ from pacioli import (
     Posting,
     PostingError,
     Side,
+    SignedAccount,
+    SignedLedger,
     TTerm,
     build_table,
     close_nominal,
@@ -117,6 +119,30 @@ def test_account_role_is_a_side(role):
     # `decode_equation` would leave the account out of both sides.
     with pytest.raises(TypeError, match=f"account 'A': role {role!r} is not a Side"):
         Account("A", role, tt(7, 2))
+
+
+# A name or an account of the wrong type is refused where it is built, not
+# met later as an `AttributeError` or as a wrong `is_balanced`.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Account(5, Side.DR, tt(0, 0)), "account name 5 is not a str"),
+        (lambda: Ledger(1, (5,), ()), "unit name 5 is not a str"),
+        (lambda: Ledger(1, ("u",), (1,)), "a Ledger holds Accounts, not 1"),
+        (
+            lambda: Ledger(1, ("u",), (SignedAccount("A", Side.DR, iv(-5)),)),
+            "a Ledger holds Accounts, not SignedAccount(name='A'",
+        ),
+        (
+            lambda: SignedLedger(1, ("u",), (Account("A", Side.DR, tt(0, 0)),)),
+            "a SignedLedger holds SignedAccounts, not Account(name='A'",
+        ),
+    ],
+    ids=["account-name", "unit-name", "int-account", "signed-in-ledger", "tterm-in-signed"],
+)
+def test_a_name_or_account_of_the_wrong_type_is_a_type_error(build, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        build()
 
 
 def test_ledger_needs_a_positive_dimension():
