@@ -79,6 +79,18 @@ def _check_name(name: str, what: str) -> None:
         raise LedgerError(f"invalid {what} name {name!r}")
 
 
+def _check_account(acc, balance_type: type) -> None:
+    """`Account`'s and `SignedAccount`'s check: name, `Side` role, balance type."""
+    _check_name(acc.name, "account")
+    if type(acc.role) is not Side:
+        raise TypeError(f"account {acc.name!r}: role {acc.role!r} is not a Side")
+    if type(acc.balance) is not balance_type:
+        raise TypeError(
+            f"account {acc.name!r}: balance {acc.balance!r} "
+            f"is not of type {balance_type.__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class Account:
     """A named T-term balance with a fixed balance side.
@@ -93,9 +105,7 @@ class Account:
     nominal: bool = False
 
     def __post_init__(self):
-        _check_name(self.name, "account")
-        if type(self.role) is not Side:
-            raise TypeError(f"account {self.name!r}: role {self.role!r} is not a Side")
+        _check_account(self, TTerm)
 
     @classmethod
     def from_signed(cls, name: str, role: Side, value: IntVec, nominal=False):

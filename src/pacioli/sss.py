@@ -6,6 +6,8 @@ vector (a zero-row), and turns each journal entry into a row of signed
 per-account changes that also sums to zero.  Posting is then plain signed
 addition.  Both systems produce the same ending equation from the same
 start and the same transactions; the commuting-square tests pin that down.
+So this path nets on its own: `journal_to_signed` reaches `ledger._net`
+only for a failed entry, to raise the :class:`PostingError` `post` would.
 
 Account roles are kept on signed accounts purely so reports can show
 ``A = L + E`` instead of the internal ``A - L - E = 0`` form.
@@ -18,11 +20,11 @@ calls them on the beginning and ending ledgers and on each row.
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterable
 
 from .algebra import DimensionMismatch, IntVec, _signed_sum
-from .ledger import JournalEntry, Ledger, LedgerError, Side, _Book, _net
+from .ledger import JournalEntry, Ledger, LedgerError, Side, _Book, _check_account, _net
 
 __all__ = [
     "SignedAccount",
@@ -40,6 +42,9 @@ class SignedAccount:
     name: str
     role: Side
     balance: IntVec
+
+    def __post_init__(self):
+        _check_account(self, IntVec)
 
 
 @dataclass(frozen=True)
@@ -95,21 +100,40 @@ def journal_to_signed(
     """Map each entry to the net signed change per affected account.
 
     Every produced row sums to zero.  `journal` holds entries or the
-    journal grammar's rows, as `post` takes them.  Each is netted per
-    account by `_net`, in order of first appearance, which raises the
-    failed entry's :class:`PostingError`; each change, debit minus credit,
-    is built as an `IntVec` once.
+    journal grammar's rows, as `post` takes them.  Each is netted here, not
+    by `post`'s `_net`: a debit adds to the account's change and a credit
+    subtracts, in order of first appearance.  A failed entry goes to `_net`
+    only to raise its :class:`PostingError`.
     """
     dim = ledger.dimension
+    known = ledger._by_name
+    debit, credit = Side.DR, Side.CR  # locals: looking up an enum member is a call
     rows = []
     for i, (description, postings) in enumerate(journal):
         sums: dict[str, list[int]] = {}
-        _net(i, description, postings, ledger, sums)
-        changes = [
-            (name, IntVec(tuple(map(sub, sides[:dim], sides[dim:]))))
-            for name, sides in sums.items()
-        ]
-        rows.append(SignedRow(description, changes))
+        for account, side, amount in postings:
+            change = sums.get(account)
+            if change is None:
+                if account not in known:
+                    break
+                change = sums[account] = [0] * dim
+            if len(amount) != dim:
+                break
+            if side is debit:
+                for j, c in enumerate(amount):
+                    change[j] += c
+            elif side is credit:
+                for j, c in enumerate(amount):
+                    change[j] -= c
+            else:
+                break
+        else:
+            if not any(map(sum, zip(*sums.values()))):
+                changes = [(name, IntVec(tuple(c))) for name, c in sums.items()]
+                rows.append(SignedRow(description, changes))
+                continue
+        _net(i, description, postings, ledger, {})
+        raise AssertionError(f"entry {i + 1}: refused by this loop, accepted by _net")
     return rows
 
 

@@ -347,6 +347,34 @@ CASES = [
         files={"long.journal": LONG},
         head=2,
     ),
+    # Inputs that were read but fail the command's check are exit 1, an
+    # argument that does not fit the books among them; only an input that
+    # cannot be read as given is exit 2.
+    Case(
+        "value-with-prices-of-another-dimension",
+        ("value", *SCALAR, "--prices", "1", "2"),
+        status=1,
+        stdout="",
+        stderr="error: dimension mismatch: 2 prices vs ledger dimension 1\n",
+    ),
+    Case(
+        "matrix-of-vector-books",
+        (
+            "matrix",
+            *("--ledger", "{data}/vector.ledger", "--journal", "{data}/vector.journal"),
+        ),
+        status=1,
+        stdout="",
+        stderr="error: transactions table is scalar only; ledger has dimension 3\n",
+    ),
+    Case(
+        "close-into-a-debit-balance-equity",
+        ("close", *SCALAR, "--equity", "Assets", "--out", "closed.ledger"),
+        status=1,
+        stdout="",
+        stderr="error: equity account 'Assets' is not credit-balance\n",
+        absent=("closed.ledger",),
+    ),
 ]
 
 
