@@ -33,6 +33,15 @@ class DimensionMismatch(ValueError):
     """An operation mixed vectors of different lengths."""
 
 
+def _shown(value) -> str:
+    """`value` in an error message: its repr, or its type's name where no
+    repr can be made (an int past the int/str digit limit has none)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__}>"
+
+
 def _same_dimension(a, b) -> None:
     if a.dimension != b.dimension:
         raise DimensionMismatch(
@@ -70,9 +79,11 @@ class _Vec:
             raise ValueError("a vector needs at least one component")
         for c in items:  # `type(c) is int` first: it is by far the common case
             if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
-                raise TypeError(f"vector component {c!r} is not an int")
+                raise TypeError(f"vector component {_shown(c)} is not an int")
             if c < 0 and not self._signed:
-                raise ValueError(f"negative component {c} in an unsigned vector")
+                raise ValueError(
+                    f"negative component {_shown(c)} in an unsigned vector"
+                )
 
     @classmethod
     def of(cls, *components: int):

@@ -6,7 +6,9 @@ status, its stdout as an iterable of text chunks and the ledger text it
 writes (or None).  A handler has formatted every number by the time it
 returns (`sss` and `matrix` return the lines of the reports' second pass,
 which only pads them); `post`, `sss` and `matrix` read the journal as a
-stream (`_stream`).  `run_command` alone parses `--ledger`, writes the
+stream (`_stream`).  `post` of a journal of `_SPLIT_AT` characters or more
+may fork one child to net its second half (`_post_forked`), with the same
+output and errors.  `run_command` alone parses `--ledger`, writes the
 ledger text to `--out` (or after the report), then writes the chunks in
 blocks of about 64 KiB and turns `UserWarning`s into `warning:` lines on
 stderr.  So a command that fails writes only its `error:` line to stderr,
@@ -17,13 +19,17 @@ command's own.  `main`, the process entry, first freezes the import heap.
 
 import argparse
 import gc
+import marshal
 import os
+import stat
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .fileformat import (
+    JOURNAL_MAGIC,
     ParseError,
     _journal,
     parse_journal,
@@ -31,7 +37,8 @@ from .fileformat import (
     render_journal,
     render_ledger,
 )
-from .ledger import close_nominal, decode_equation, post, trial_balance, validate_entry
+from .ledger import Side, _netted, close_nominal, decode_equation, post, trial_balance
+from .ledger import validate_entry
 from .reports import (
     iter_signed_report,
     iter_table_report,
@@ -45,6 +52,9 @@ from .valuation import PriceVector, _rational, value_ledger
 __all__ = ["build_parser", "run_command", "main"]
 
 _BLOCK = 1 << 16  # characters of stdout per write: 64 KiB of ASCII
+# Characters of journal from which `post` forks (`_post_forked`): below it
+# the fork and the second parse cost more than the second core saves.
+_SPLIT_AT = 1 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +138,16 @@ def _read(path: str) -> str:
 def _write_out(path: str, text: str) -> None:
     """Replace `path` with `text` atomically: write a temp file beside it,
     then rename it over `path`.  On failure the temp file is removed and
-    `path` is left as it was; an `OSError` names `path`, not the temp file."""
+    `path` is left as it was; an `OSError` names `path`, not the temp file.
+    A `path` that is neither a regular file nor a directory (a device, a
+    FIFO, a symlink) is refused: the rename would replace the node itself."""
+    try:
+        mode = os.lstat(path).st_mode
+    except OSError:
+        pass
+    else:
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise OSError(f"{path}: not a regular file")
     temp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         temp.write_text(text, encoding="utf-8")
@@ -165,13 +184,14 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
     return (f"{line}\n" for line in lines)
 
 
-def _stream(args, ledger, consume):
-    """``consume(rows)`` of the journal grammar's rows, parsed as consumed.
+def _stream(text, ledger, consume):
+    """``consume(rows)`` of the journal grammar's rows of `text`, parsed as
+    consumed.
 
     A syntax error anywhere in the journal outranks a failed entry (exit 2,
     not 1), as when the whole journal is parsed first: on a `ValueError`,
     the rest of the journal is parsed before it is re-raised."""
-    rows = _journal(_read(args.journal), ledger.dimension)
+    rows = _journal(text, ledger.dimension)
     try:
         return consume(rows)
     except ValueError:
@@ -197,8 +217,76 @@ def _cmd_validate(args, ledger):
     return (1 if invalid else 0), lines, None
 
 
+def _post_forked(ledger, text):
+    """`post` of the journal `text` on two cores, or None where the
+    one-process path must decide.
+
+    A forked child nets the rows after the first line "end" at or past the
+    midpoint (`_netted`) and sends the triples back (`marshal`), which are
+    posted after the parent's half as one zero-term entry.  If that half
+    parses, the grammar is between entries at the cut, so the rest parses
+    alone as it would in sequence; posting adds zero-terms, so the raw
+    sides are the same.  None: a journal under `_SPLIT_AT` characters, one
+    CPU, a second thread, SIGCHLD not at its default (another reaper might
+    take the child), no such line, a failed pipe or fork, or any
+    `ValueError` in either half; the child is then killed before it is reaped."""
+    if len(text) < _SPLIT_AT or sys.platform != "linux" or not hasattr(os, "fork"):
+        return None
+    import signal
+    import threading
+
+    cut = text.find("\nend\n", len(text) // 2) + 5
+    if cut < 5 or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return None
+    if signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL:
+        return None
+    dim = ledger.dimension
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:  # the child writes its triples, or nothing if anything fails
+        try:
+            os.close(read)
+            rows = _journal(f"{JOURNAL_MAGIC}\ndimension {dim}\n{text[cut:]}", dim)
+            net = [(a, side.value, sums) for a, side, sums in _netted(rows, ledger)]
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(net))
+        finally:
+            os._exit(0)
+    os.close(write)
+    pipe = open(read, "rb")
+
+    def net_entry():  # the child's triples as one row
+        data = pipe.read()
+        if not data:
+            raise ValueError("the child netted nothing")
+        yield "", [(a, Side(side), sums) for a, side, sums in marshal.loads(data)]
+
+    ended = None
+    try:
+        ended = post(ledger, chain(_journal(text[:cut], dim), net_entry()))
+    except (ValueError, EOFError):  # EOFError: a child cut off mid-write
+        pass
+    finally:
+        pipe.close()  # first: a child blocked on a full pipe then exits
+        if ended is None:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return ended
+
+
 def _cmd_post(args, ledger):
-    ended = _stream(args, ledger, lambda journal: post(ledger, journal))
+    text = _read(args.journal)
+    ended = _post_forked(ledger, text)
+    if ended is None:
+        ended = _stream(text, ledger, lambda journal: post(ledger, journal))
     return 0, [], render_ledger(ended)
 
 
@@ -212,7 +300,8 @@ def _cmd_report(args, ledger):
 
 
 def _cmd_matrix(args, ledger):
-    table = _stream(args, ledger, lambda journal: build_table(journal, ledger))
+    text = _read(args.journal)
+    table = _stream(text, ledger, lambda journal: build_table(journal, ledger))
     return 0, _lines(iter_table_report(table, ledger)), None
 
 
@@ -220,7 +309,8 @@ def _cmd_sss(args, ledger):
     signed = to_signed(ledger)
     if args.journal is None:
         return 0, _lines(iter_signed_report(signed)), None
-    rows = _stream(args, ledger, lambda journal: journal_to_signed(journal, ledger))
+    text = _read(args.journal)
+    rows = _stream(text, ledger, lambda journal: journal_to_signed(journal, ledger))
     ending = signed_post(signed, rows)
     return 0, _lines(iter_signed_report(signed, rows, ending)), None
 

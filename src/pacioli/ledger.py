@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .algebra import DimensionMismatch, IntVec, NatVec, TTerm, _signed_sum
+from .algebra import DimensionMismatch, IntVec, NatVec, TTerm, _shown, _signed_sum
 
 __all__ = [
     "Side",
@@ -74,7 +74,7 @@ class Side(Enum):
 
 def _check_name(name: str, what: str) -> None:
     if type(name) is not str:
-        raise TypeError(f"{what} name {name!r} is not a str")
+        raise TypeError(f"{what} name {_shown(name)} is not a str")
     if not name or name.split() != [name] or "#" in name:
         raise LedgerError(f"invalid {what} name {name!r}")
 
@@ -83,10 +83,11 @@ def _check_account(acc, balance_type: type) -> None:
     """`Account`'s and `SignedAccount`'s check: name, `Side` role, balance type."""
     _check_name(acc.name, "account")
     if type(acc.role) is not Side:
-        raise TypeError(f"account {acc.name!r}: role {acc.role!r} is not a Side")
+        role = _shown(acc.role)
+        raise TypeError(f"account {acc.name!r}: role {role} is not a Side")
     if type(acc.balance) is not balance_type:
         raise TypeError(
-            f"account {acc.name!r}: balance {acc.balance!r} "
+            f"account {acc.name!r}: balance {_shown(acc.balance)} "
             f"is not of type {balance_type.__name__}"
         )
 
@@ -153,7 +154,7 @@ class _Book:
         for acc in self.accounts:
             if type(acc) is not kind:
                 book = type(self).__name__
-                raise TypeError(f"a {book} holds {kind.__name__}s, not {acc!r}")
+                raise TypeError(f"a {book} holds {kind.__name__}s, not {_shown(acc)}")
             if acc.name in by_name:
                 raise LedgerError(f"duplicate account {acc.name!r}")
             by_name[acc.name] = acc
@@ -380,7 +381,7 @@ def validate_entry(entry: JournalEntry, ledger: Ledger) -> EntryValidation:
         else:
             raise TypeError(
                 f"entry {entry.description!r}, posting {i + 1} ({name!r}): "
-                f"side {posting.side!r} is not a Side"
+                f"side {_shown(posting.side)} is not a Side"
             )
         amount = posting.amount.components
         if len(amount) != dim:
@@ -445,6 +446,22 @@ def _net(i: int, description: str, postings, ledger: Ledger, sums) -> None:
             return
     entry = _entry(description, postings)
     raise PostingError(i, entry, validate_entry(entry, ledger))
+
+
+def _netted(rows, ledger: Ledger) -> list:
+    """The posting triples of one zero-term entry that `post` adds as it
+    adds `rows` (the journal grammar's rows) one by one: a debit and a
+    credit per touched account, by the rows' totals.  Raises `_net`'s
+    :class:`PostingError` for a failed row."""
+    sums: dict[str, list[int]] = {}
+    for i, (description, postings) in enumerate(rows):
+        _net(i, description, postings, ledger, sums)
+    dim = ledger.dimension
+    return [
+        posting
+        for name, sides in sums.items()
+        for posting in ((name, Side.DR, sides[:dim]), (name, Side.CR, sides[dim:]))
+    ]
 
 
 def post(ledger: Ledger, journal: Iterable[JournalEntry]) -> Ledger:

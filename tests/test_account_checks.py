@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import support
 from pacioli import (
     Account,
     IntVec,
@@ -19,6 +20,7 @@ from pacioli import (
 
 T_TERM = TTerm.zero(1)
 SIGNED = IntVec.of(0)
+HUGE = 10 ** (support.DIGIT_LIMIT + 1)  # one digit past the int/str limit
 
 
 @pytest.mark.parametrize(
@@ -54,6 +56,22 @@ SIGNED = IntVec.of(0)
             lambda: SignedAccount("A", None, SIGNED),
             "account 'A': role None is not a Side",
         ),
+        # An int past the int/str digit limit has no repr: its type is named.
+        pytest.param(
+            lambda: Account("A", HUGE, T_TERM),
+            "account 'A': role <int> is not a Side",
+            marks=support.needs_digit_limit,
+        ),
+        pytest.param(
+            lambda: Account("A", Side.DR, HUGE),
+            "account 'A': balance <int> is not of type TTerm",
+            marks=support.needs_digit_limit,
+        ),
+        pytest.param(
+            lambda: SignedAccount("A", Side.DR, HUGE),
+            "account 'A': balance <int> is not of type IntVec",
+            marks=support.needs_digit_limit,
+        ),
     ],
     ids=[
         "int-in-account",
@@ -64,6 +82,9 @@ SIGNED = IntVec.of(0)
         "signed-name",
         "signed-role-str",
         "signed-role-none",
+        "huge-role-in-account",
+        "huge-in-account",
+        "huge-in-signed",
     ],
 )
 def test_an_account_field_of_the_wrong_type_is_a_type_error(build, message):

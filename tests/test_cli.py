@@ -749,6 +749,45 @@ def test_out_replaces_target(data, command, capsys):
     assert sorted(p.name for p in data.iterdir()) == before
 
 
+# The rename would replace the node itself: a FIFO or a device would become
+# a regular file, and a symlink would stop pointing where it did.
+@pytest.mark.parametrize("command", ["close", "post"])
+@pytest.mark.parametrize("node", ["fifo", "symlink", "dangling-symlink"])
+def test_out_refuses_a_target_that_is_not_a_regular_file(data, command, node, capsys):
+    out_file = data / "out.ledger"
+    if node == "fifo":
+        os.mkfifo(out_file)
+    else:
+        (data / "old.ledger").write_text("old\n")
+        out_file.symlink_to("old.ledger" if node == "symlink" else "missing.ledger")
+    before = sorted(p.name for p in data.iterdir())
+
+    def node_of(path):
+        st = os.lstat(path)
+        return st.st_ino, st.st_mode, st.st_size, st.st_mtime_ns
+
+    node_before = node_of(out_file)
+    assert run(*out_argv(command, data, out_file)) == 2
+    assert capsys.readouterr() == ("", f"error: {out_file}: not a regular file\n")
+    assert node_of(out_file) == node_before
+    assert sorted(p.name for p in data.iterdir()) == before
+    if node == "symlink":
+        assert (data / "old.ledger").read_text() == "old\n"
+
+
+@pytest.mark.parametrize("command", ["close", "post"])
+def test_out_to_a_directory_is_today_s_errno_21(data, command, capsys):
+    out_dir = data / "out.d"
+    out_dir.mkdir()
+    before = sorted(p.name for p in data.iterdir())
+    assert run(*out_argv(command, data, out_dir)) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 21] Is a directory: '{out_dir}'\n"
+    )
+    assert out_dir.is_dir() and not list(out_dir.iterdir())
+    assert sorted(p.name for p in data.iterdir()) == before
+
+
 @pytest.mark.parametrize("command", ["close", "post"])
 def test_out_failure_keeps_target(data, command, capsys, monkeypatch):
     out_file = data / "out.ledger"

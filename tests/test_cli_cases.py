@@ -125,14 +125,39 @@ BAD = (
 BOGUS = BAD + "bogus\n"
 
 
-# 10000 transfers among the scalar ledger's accounts, in turn: the `sss`
-# report outgrows a pipe.
+# Transfers among the scalar ledger's accounts, in turn.
 NAMES = ("Assets", "Liabilities", "Equity")
-LONG = "pacioli-journal v1\ndimension 1\n" + "".join(
-    f'entry "t{i}"\ndr {NAMES[i % 3]} {i}\ncr {NAMES[(i + 1) % 3]} {i}\nend\n'
-    for i in range(10000)
-)
+
+
+def transfers(count: int) -> str:
+    return "pacioli-journal v1\ndimension 1\n" + "".join(
+        f'entry "t{i}"\ndr {NAMES[i % 3]} {i}\ncr {NAMES[(i + 1) % 3]} {i}\nend\n'
+        for i in range(count)
+    )
+
+
+def posted_transfers(count: int) -> str:
+    """The scalar ledger's text after `transfers(count)`, from plain ints."""
+    roles = {"Assets": "dr", "Liabilities": "cr", "Equity": "cr"}
+    sides = {"Assets": [15000, 0], "Liabilities": [0, 10000], "Equity": [0, 5000]}
+    for i in range(count):
+        sides[NAMES[i % 3]][0] += i
+        sides[NAMES[(i + 1) % 3]][1] += i
+    lines = ["pacioli-ledger v1", "dimension 1", "units usd"]
+    for name, (debit, credit) in sides.items():
+        debit, credit = debit - min(debit, credit), credit - min(debit, credit)
+        lines.append(f"account {name} {roles[name]} {debit} // {credit}")
+    return "\n".join(lines) + "\n"
+
+
+# 10000 transfers: the `sss` report outgrows a pipe.
+LONG = transfers(10000)
 SSS_LONG = ("sss", *SCALAR, "--journal", "long.journal")
+# 30001 transfers, about 1.6 MB: past the 1 MiB from which `post` forks a
+# child to net the journal's second half.
+PAST_CUT = transfers(30001)
+SYNTAX_ERROR_LINE = PAST_CUT.count("\n") + 1
+POST_PAST_CUT = ("post", *SCALAR, "--journal", "past-cut.journal")
 
 ERRORS = {"PYTHONWARNINGS": "error"}  # warnings as errors, outside pytest's capture
 NO_FILE = "error: [Errno 2] No such file or directory: {}\n"
@@ -374,6 +399,23 @@ CASES = [
         stdout="",
         stderr="error: equity account 'Assets' is not credit-balance\n",
         absent=("closed.ledger",),
+    ),
+    # Past the cut `post` runs on two processes, and prints what one would.
+    Case(
+        "post-of-a-journal-past-the-cut",
+        POST_PAST_CUT,
+        stdout=posted_transfers(30001),
+        env=ERRORS,
+        files={"past-cut.journal": PAST_CUT},
+    ),
+    Case(
+        "post-syntax-error-in-the-second-half",
+        POST_PAST_CUT,
+        status=2,
+        stdout="",
+        stderr=f"error: line {SYNTAX_ERROR_LINE}: unknown directive 'bogus'\n",
+        env=ERRORS,
+        files={"past-cut.journal": PAST_CUT + "bogus\n"},
     ),
 ]
 

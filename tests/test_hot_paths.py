@@ -166,6 +166,8 @@ def test_journal_grammar_matches_the_reference(
 
 # --- the vector constructor ---
 
+HUGE = 10 ** (support.DIGIT_LIMIT + 1)  # one digit past the int/str limit
+
 
 @pytest.mark.parametrize(
     "build, error, message",
@@ -178,6 +180,13 @@ def test_journal_grammar_matches_the_reference(
         (lambda: NatVec(()), ValueError, "a vector needs at least one component"),
         (lambda: TTerm(NatVec.of(1), NatVec.of(1, 2)), DimensionMismatch,
          "dimension mismatch: 1 vs 2"),
+        # A value past the int/str digit limit has no repr: its type is named.
+        pytest.param(lambda: NatVec((-HUGE,)), ValueError,
+                     "negative component <int> in an unsigned vector",
+                     marks=support.needs_digit_limit),
+        pytest.param(lambda: IntVec(((HUGE,),)), TypeError,
+                     "vector component <tuple> is not an int",
+                     marks=support.needs_digit_limit),
     ],
 )
 def test_constructor_errors_keep_type_message_and_order(build, error, message):

@@ -123,6 +123,7 @@ def test_account_role_is_a_side(role):
 
 # A name or an account of the wrong type is refused where it is built, not
 # met later as an `AttributeError` or as a wrong `is_balanced`.
+HUGE = 10 ** (support.DIGIT_LIMIT + 1)  # one digit past the int/str limit
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -137,8 +138,33 @@ def test_account_role_is_a_side(role):
             lambda: SignedLedger(1, ("u",), (Account("A", Side.DR, tt(0, 0)),)),
             "a SignedLedger holds SignedAccounts, not Account(name='A'",
         ),
+        # An int past the int/str digit limit has no repr: its type is named.
+        pytest.param(
+            lambda: Account(HUGE, Side.DR, tt(0, 0)),
+            "account name <int> is not a str",
+            marks=support.needs_digit_limit,
+        ),
+        pytest.param(
+            lambda: Ledger(1, (HUGE,), ()),
+            "unit name <int> is not a str",
+            marks=support.needs_digit_limit,
+        ),
+        pytest.param(
+            lambda: Ledger(1, ("u",), (HUGE,)),
+            "a Ledger holds Accounts, not <int>",
+            marks=support.needs_digit_limit,
+        ),
     ],
-    ids=["account-name", "unit-name", "int-account", "signed-in-ledger", "tterm-in-signed"],
+    ids=[
+        "account-name",
+        "unit-name",
+        "int-account",
+        "signed-in-ledger",
+        "tterm-in-signed",
+        "huge-account-name",
+        "huge-unit-name",
+        "huge-account",
+    ],
 )
 def test_a_name_or_account_of_the_wrong_type_is_a_type_error(build, message):
     with pytest.raises(TypeError, match=re.escape(message)):
@@ -287,6 +313,14 @@ def test_a_side_that_is_not_a_side_is_refused(scalar_ledger, side):
     ):
         with pytest.raises(TypeError, match=message):
             refuse()
+
+
+@support.needs_digit_limit
+def test_a_side_past_the_digit_limit_is_named_by_its_type(scalar_ledger):
+    rows = [("x", [("Assets", HUGE, (30,)), ("Equity", Side.DR, (30,))])]
+    message = "entry 'x', posting 1 ('Assets'): side <int> is not a Side"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        post(scalar_ledger, rows)
 
 
 def test_post_order_insensitive_up_to_equality(scalar_ledger, scalar_journal):
