@@ -6,15 +6,16 @@ status, its stdout as an iterable of text chunks and the ledger text it
 writes (or None).  A handler has formatted every number by the time it
 returns (`sss` and `matrix` return the lines of the reports' second pass,
 which only pads them); `post`, `sss` and `matrix` read the journal as a
-stream (`_stream`).  `post` of a journal of `_SPLIT_AT` characters or more
-may fork one child to net its second half (`_post_forked`), with the same
-output and errors.  `run_command` alone parses `--ledger`, writes the
-ledger text to `--out` (or after the report), then writes the chunks in
-blocks of about 64 KiB and turns `UserWarning`s into `warning:` lines on
-stderr.  So a command that fails writes only its `error:` line to stderr,
-nothing to stdout, and leaves `--out` as it was.  A reader that closes
-stdout early ends the output, not the command: the exit status is the
-command's own.  `main`, the process entry, first freezes the import heap.
+stream (`_stream`).  `post` and `validate` of a journal of `_SPLIT_AT`
+characters or more may fork one child for its second half (`_two_cores`),
+with the same output and errors.  `run_command` alone parses `--ledger`,
+writes the ledger text to `--out` (or after the report), then writes the
+chunks in blocks of about 64 KiB and turns `UserWarning`s into `warning:`
+lines on stderr.  So a command that fails writes only its `error:` line to
+stderr, nothing to stdout, and leaves `--out` as it was.  A reader that
+closes stdout early ends the output, not the command: the exit status is
+the command's own.  `main`, the process entry, first freezes the import
+heap.
 """
 
 import argparse
@@ -52,9 +53,11 @@ from .valuation import PriceVector, _rational, value_ledger
 __all__ = ["build_parser", "run_command", "main"]
 
 _BLOCK = 1 << 16  # characters of stdout per write: 64 KiB of ASCII
-# Characters of journal from which `post` forks (`_post_forked`): below it
-# the fork and the second parse cost more than the second core saves.
-_SPLIT_AT = 1 << 20
+# Characters of journal from which `post` and `validate` fork (`_two_cores`):
+# below it the fork and the second parse cost more than the second core
+# saves.  `period_close`'s 271 KB `post` stays below it, where a split is
+# slower; `audit`'s 792 KB `validate` is above it.
+_SPLIT_AT = 1 << 19
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,35 +204,45 @@ def _stream(text, ledger, consume):
 
 
 def _cmd_validate(args, ledger):
-    journal = parse_journal(_read(args.journal), dimension=ledger.dimension)
+    text = _read(args.journal)
+
+    def verdicts(half):  # per entry: description, verdict, warnings, ok
+        rows = []
+        for entry in parse_journal(half, dimension=ledger.dimension):
+            report = validate_entry(entry, ledger)
+            verdict = "OK" if report.ok else f"INVALID ({report.problems()})"
+            rows.append((entry.description, verdict, report.warnings, report.ok))
+        return rows
+
+    halves = _two_cores(text, ledger.dimension, verdicts) or [verdicts(text)]
     lines = []
-    invalid = 0
-    for i, entry in enumerate(journal, start=1):
-        report = validate_entry(entry, ledger)
-        verdict = "OK" if report.ok else f"INVALID ({report.problems()})"
-        lines.append(f'entry {i} "{entry.description}": {verdict}\n')
-        lines.extend(f"  warning: {warning}\n" for warning in report.warnings)
-        invalid += not report.ok
+    invalid = count = 0
+    for count, (description, verdict, notes, ok) in enumerate(chain(*halves), 1):
+        lines.append(f'entry {count} "{description}": {verdict}\n')
+        lines.extend(f"  warning: {note}\n" for note in notes)
+        invalid += not ok
     if invalid:
-        lines.append(f"{invalid} of {len(journal)} entries invalid\n")
+        lines.append(f"{invalid} of {count} entries invalid\n")
     else:
-        lines.append(f"all {len(journal)} entries valid\n")
+        lines.append(f"all {count} entries valid\n")
     return (1 if invalid else 0), lines, None
 
 
-def _post_forked(ledger, text):
-    """`post` of the journal `text` on two cores, or None where the
-    one-process path must decide.
+def _two_cores(text, dimension, work):
+    """``(work(text[:cut]), work(header + text[cut:]))``, the second in a
+    forked child, or None where the one-process path must decide.
 
-    A forked child nets the rows after the first line "end" at or past the
-    midpoint (`_netted`) and sends the triples back (`marshal`), which are
-    posted after the parent's half as one zero-term entry.  If that half
+    `cut` is just after the first line "end" at or past the midpoint, and
+    `header` the journal's magic and `dimension` lines.  If the first half
     parses, the grammar is between entries at the cut, so the rest parses
-    alone as it would in sequence; posting adds zero-terms, so the raw
-    sides are the same.  None: a journal under `_SPLIT_AT` characters, one
-    CPU, a second thread, SIGCHLD not at its default (another reaper might
-    take the child), no such line, a failed pipe or fork, or any
-    `ValueError` in either half; the child is then killed before it is reaped."""
+    alone as it would in sequence.  The child sends its result back through
+    `marshal`.  A `ParseError` of the first half is the whole journal's
+    first syntax error, and so is the child's if the first half succeeds
+    (its line moved by the cut): `_two_cores` raises it.  None: a journal
+    under `_SPLIT_AT` characters, one CPU, a second thread, SIGCHLD not at
+    its default (another reaper might take the child), no such line, a
+    failed pipe or fork, or any other `ValueError` in either half.  Unless
+    both halves succeed, the child is killed before it is reaped."""
     if len(text) < _SPLIT_AT or sys.platform != "linux" or not hasattr(os, "fork"):
         return None
     import signal
@@ -240,7 +253,6 @@ def _post_forked(ledger, text):
         return None
     if signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL:
         return None
-    dim = ledger.dimension
     try:
         read, write = os.pipe()
     except OSError:
@@ -251,42 +263,60 @@ def _post_forked(ledger, text):
         os.close(read)
         os.close(write)
         return None
-    if pid == 0:  # the child writes its triples, or nothing if anything fails
+    if pid == 0:  # the child writes (True, result), (False, syntax error) or nothing
         try:
             os.close(read)
-            rows = _journal(f"{JOURNAL_MAGIC}\ndimension {dim}\n{text[cut:]}", dim)
-            net = [(a, side.value, sums) for a, side, sums in _netted(rows, ledger)]
+            rest = f"{JOURNAL_MAGIC}\ndimension {dimension}\n{text[cut:]}"
+            try:
+                reply = True, work(rest)
+            except ParseError as exc:
+                if exc.line_no is None:
+                    raise
+                reply = False, (exc.message, exc.line_no)
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps(net))
+                pipe.write(marshal.dumps(reply))
         finally:
             os._exit(0)
     os.close(write)
     pipe = open(read, "rb")
-
-    def net_entry():  # the child's triples as one row
-        data = pipe.read()
-        if not data:
-            raise ValueError("the child netted nothing")
-        yield "", [(a, Side(side), sums) for a, side, sums in marshal.loads(data)]
-
-    ended = None
+    halves = None
     try:
-        ended = post(ledger, chain(_journal(text[:cut], dim), net_entry()))
+        first = work(text[:cut])
+        data = pipe.read()
+        if data:
+            done, second = marshal.loads(data)
+            if not done:  # the child's line 3 is the line after the cut
+                message, line_no = second
+                raise ParseError(message, line_no - 2 + len(text[:cut].splitlines()))
+            halves = first, second
+    except ParseError:
+        raise
     except (ValueError, EOFError):  # EOFError: a child cut off mid-write
         pass
     finally:
         pipe.close()  # first: a child blocked on a full pipe then exits
-        if ended is None:
+        if halves is None:
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    return ended
+    return halves
 
 
 def _cmd_post(args, ledger):
     text = _read(args.journal)
-    ended = _post_forked(ledger, text)
-    if ended is None:
+    dim = ledger.dimension
+
+    # Each half nets to one zero-term entry; posting adds zero-terms, so the
+    # two entries give the raw sides of the whole journal.
+    def net(half):  # the entry's triples, each side by its value
+        rows = _journal(half, dim)
+        return [(a, side.value, sums) for a, side, sums in _netted(rows, ledger)]
+
+    halves = _two_cores(text, dim, net)
+    if halves is None:
         ended = _stream(text, ledger, lambda journal: post(ledger, journal))
+    else:
+        entries = [("", [(a, Side(s), sums) for a, s, sums in h]) for h in halves]
+        ended = post(ledger, entries)
     return 0, [], render_ledger(ended)
 
 

@@ -17,6 +17,16 @@ from dataclasses import dataclass
 __all__ = ["Fraction"]
 
 
+def _shown(value) -> str:
+    """`value` in an error message: its repr, or its type's name where no
+    repr can be made (an int past the int/str digit limit has none).  The
+    same as `algebra._shown`; this module imports no other pacioli module."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__}>"
+
+
 @dataclass(frozen=True)
 class Fraction:
     """A pair of positive integers under entrywise multiplication."""
@@ -27,9 +37,9 @@ class Fraction:
     def __post_init__(self):
         for entry in (self.numerator, self.denominator):
             if not isinstance(entry, int) or isinstance(entry, bool):
-                raise TypeError(f"fraction entry {entry!r} is not an int")
+                raise TypeError(f"fraction entry {_shown(entry)} is not an int")
             if entry < 1:
-                raise ValueError(f"fraction entry {entry} must be >= 1")
+                raise ValueError(f"fraction entry {_shown(entry)} must be >= 1")
 
     @classmethod
     def unit(cls) -> "Fraction":

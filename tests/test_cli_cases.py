@@ -153,11 +153,26 @@ def posted_transfers(count: int) -> str:
 # 10000 transfers: the `sss` report outgrows a pipe.
 LONG = transfers(10000)
 SSS_LONG = ("sss", *SCALAR, "--journal", "long.journal")
-# 30001 transfers, about 1.6 MB: past the 1 MiB from which `post` forks a
-# child to net the journal's second half.
+# 30001 transfers, about 1.6 MB: past the 512 KiB from which `post` forks
+# a child to net the journal's second half.
 PAST_CUT = transfers(30001)
 SYNTAX_ERROR_LINE = PAST_CUT.count("\n") + 1
 POST_PAST_CUT = ("post", *SCALAR, "--journal", "past-cut.journal")
+
+# 12000 transfers, about 640 KB: past the cut, from which `validate` forks
+# a child to check the journal's second half.  Entry 2 credits an account
+# that the ledger lacks, and entry 11999 does not balance.
+VALIDATE_PAST_CUT = (
+    transfers(12000)
+    .replace("cr Equity 1\n", "cr Ghost 1\n")
+    .replace("cr Equity 11998\n", "cr Equity 11999\n")
+)
+VALIDATED_PAST_CUT = "".join(
+    ['entry 1 "t0": OK\n', 'entry 2 "t1": INVALID (unknown account(s): Ghost)\n']
+    + [f'entry {i + 1} "t{i}": OK\n' for i in range(2, 11998)]
+    + ['entry 11999 "t11998": INVALID (unbalanced, residual [11998 // 11999])\n']
+    + ['entry 12000 "t11999": OK\n', "2 of 12000 entries invalid\n"]
+)
 
 ERRORS = {"PYTHONWARNINGS": "error"}  # warnings as errors, outside pytest's capture
 NO_FILE = "error: [Errno 2] No such file or directory: {}\n"
@@ -416,6 +431,15 @@ CASES = [
         stderr=f"error: line {SYNTAX_ERROR_LINE}: unknown directive 'bogus'\n",
         env=ERRORS,
         files={"past-cut.journal": PAST_CUT + "bogus\n"},
+    ),
+    # `validate` too, with an INVALID entry in each half.
+    Case(
+        "validate-of-a-journal-past-the-cut",
+        ("validate", *SCALAR, "--journal", "past-cut.journal"),
+        status=1,
+        stdout=VALIDATED_PAST_CUT,
+        env=ERRORS,
+        files={"past-cut.journal": VALIDATE_PAST_CUT},
     ),
 ]
 

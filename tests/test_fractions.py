@@ -1,10 +1,12 @@
 """The fraction group, checked against stdlib exact rationals."""
 
+import re
 from fractions import Fraction as Q  # independent oracle; auto-canonicalizing
 
 import pytest
 from hypothesis import given, strategies as st
 
+import support
 from pacioli import Fraction
 
 entries = st.integers(1, 100)
@@ -91,3 +93,31 @@ def test_additive_multiplicative_analogy(a, b):
     assert a.reduced().equivalent(a)
     assert a.reduced().reduced() == a.reduced()
     assert a.equivalent(b) == (a.reduced() == b.reduced())
+
+
+# A refused entry is named by its repr, or by its type where it has none:
+# an int past the int/str digit limit, also inside a container.
+HUGE = 10 ** (support.DIGIT_LIMIT + 1)  # one digit past the int/str limit
+@pytest.mark.parametrize(
+    "numerator, denominator, error, message",
+    [
+        (1, 1.5, TypeError, "fraction entry 1.5 is not an int"),
+        (1, -2, ValueError, "fraction entry -2 must be >= 1"),
+        pytest.param(
+            1, (HUGE,), TypeError, "fraction entry <tuple> is not an int",
+            marks=support.needs_digit_limit,
+        ),
+        pytest.param(
+            1, -HUGE, ValueError, "fraction entry <int> must be >= 1",
+            marks=support.needs_digit_limit,
+        ),
+        pytest.param(
+            [HUGE], 1, TypeError, "fraction entry <list> is not an int",
+            marks=support.needs_digit_limit,
+        ),
+    ],
+    ids=["float", "negative", "huge-in-tuple", "huge-negative", "huge-in-list"],
+)
+def test_a_refused_entry_is_named_in_the_error(numerator, denominator, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Fraction(numerator, denominator)
